@@ -11,7 +11,8 @@ from .ascending import as_all_ascending, as_with_type, b_count, removal_candidat
 from .descending import (DescendNode, as_all_descending, as_down_to_type,
                          descend_children, root_node)
 from .oracle import all_with_frobenius, oracle_as
-from .bench import BenchReport, BenchRow, run_bench, render_table
+
+_BENCH_NAMES = ("BenchReport", "BenchRow", "run_bench", "render_table")
 
 __all__ = [
     "ClosureViolation", "NotNumerical", "InvalidParameters", "LimitExceeded",
@@ -26,3 +27,11 @@ __all__ = [
     "all_with_frobenius", "oracle_as",
     "run_bench", "render_table",
 ]
+
+
+def __getattr__(name: str):
+    # bench is imported on first use, to keep it out of every CLI start
+    if name in _BENCH_NAMES:
+        from . import bench
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

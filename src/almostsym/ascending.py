@@ -72,7 +72,10 @@ def removal_candidates(S: Semigroup, t: int) -> list[tuple[int, ...]]:
 
 def _remove(S: Semigroup, A: tuple[int, ...]) -> Semigroup:
     # removed elements are minimal generators, so the complement stays closed
-    return Semigroup(S.gap_set() | set(A))
+    mask = S.mask
+    for x in A:
+        mask |= 1 << x
+    return Semigroup._from_mask(mask)
 
 
 def as_with_type(F: int, t: int, *, use_b_filter: bool = True,

@@ -3,7 +3,9 @@
 Subcommands: info, irreducible, as-ascending, as-descending, oracle, bench.
 Enumerations stream one JSON object per semigroup in canonical gap order.
 Exit codes: 0 success, 2 invalid parameters, 3 resource limit,
-4 internal invariant failure.
+4 internal invariant failure.  A reader that closes stdout early (as
+`almostsym as-descending --frobenius 30 | head -1` does) ends the run
+quietly with exit code 0.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from .ascending import as_all_ascending, as_with_type
 from .classify import as_exists
 from .descending import as_all_descending, as_down_to_type
 from .irreducible import enumerate_irreducible
-from .oracle import oracle_as, DEFAULT_F_MAX
-from .bench import run_bench, render_table, DEFAULT_F_LIST
+from .oracle import oracle_as
 
 
 def semigroup_record(S: Semigroup) -> dict:
@@ -95,10 +96,11 @@ def _cmd_enumerate(args, out) -> None:
         if args.type is not None:
             result = as_with_type(F, args.type)
         elif args.min_type is not None:
+            irr = enumerate_irreducible(F)
             result = EnumerationResult.collect(
                 (S for t in range(args.min_type, F + 1)
                  if as_exists(F, t)
-                 for S in as_with_type(F, t)),
+                 for S in as_with_type(F, t, _irreducibles=irr)),
                 "ascending", 0)
         else:
             result = as_all_ascending(F, workers=args.threads)
@@ -118,6 +120,10 @@ def _cmd_enumerate(args, out) -> None:
 
 
 def _cmd_bench(args, out) -> None:
+    # imported here: the bench module and its imports would add to the
+    # start-up time of every other subcommand
+    from .bench import DEFAULT_F_LIST, render_table, run_bench
+
     f_list = (list(DEFAULT_F_LIST) if args.frobenius_list is None
               else _int_list(args.frobenius_list))
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
@@ -154,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="timing comparison of the algorithms")
     bench.add_argument("--frobenius-list", default=None,
-                       help=f"default: {','.join(map(str, DEFAULT_F_LIST))}")
+                       help="comma-separated Frobenius numbers "
+                            "(default: almostsym.bench.DEFAULT_F_LIST)")
     bench.add_argument("--algorithms", default="ascending,descending")
     bench.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     bench.add_argument("--out", default=None)
@@ -175,6 +182,15 @@ def main(argv: list[str] | None = None) -> int:
             _cmd_bench(args, out)
         else:
             _cmd_enumerate(args, out)
+        out.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so that the flush
+        # at interpreter exit cannot fail again (see "Note on SIGPIPE" in
+        # the documentation of the signal module).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,10 +1,12 @@
-"""Gap-set representation of numerical semigroups and their basic invariants.
+"""Gap-mask representation of numerical semigroups and their basic invariants.
 
 A numerical semigroup S is an additively closed subset of the nonnegative
 integers containing 0 with finite complement.  The complement (the "gaps")
-is a finite set of positive integers and identifies S uniquely, so it is
-used as the canonical form throughout: equality, hashing and ordering of
-semigroups all compare sorted gap tuples.
+is a finite set of positive integers and identifies S uniquely.  It is
+held as one integer, the gap mask, with bit x set iff x is a gap:
+equality and hashing compare masks, and the invariants are computed with
+word operations on it.  Semigroups are ordered lexicographically by their
+sorted gap tuples.
 
 Conventions for the full semigroup S = N (empty gap set): frobenius = -1,
 pf = (), type_ = 0, msg = (1,).
@@ -12,7 +14,6 @@ pf = (), type_ = 0, msg = (1,).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Iterator
@@ -39,61 +40,111 @@ class LimitExceeded(ValueError):
     """Requested size is beyond the configured brute-force limit."""
 
 
-class Semigroup:
-    """A numerical semigroup identified by its sorted tuple of gaps.
+# _BYTE_ROWS[i][v] holds the positions of the set bits of byte value v
+# at byte i of a mask.  Rows are added as wider masks arrive; a longer
+# list replaces the old one whole, so a concurrent reader never sees a
+# row at the wrong index.
+_BYTE_ROWS: list[list[tuple[int, ...]]] = []
 
-    Instances are immutable; the constructor normalizes (sorts, removes
-    duplicates) and checks positivity but does NOT check additive closure
-    of the complement.  Use :func:`from_gaps` for validated construction
-    from untrusted input; the enumeration algorithms construct directly
-    because closure is guaranteed by the theorems they implement.
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of a nonnegative mask, ascending."""
+    global _BYTE_ROWS
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    rows = _BYTE_ROWS
+    if len(rows) < len(data):
+        rows = _BYTE_ROWS = rows + [
+            [tuple(8 * i + b for b in range(8) if v >> b & 1) for v in range(256)]
+            for i in range(len(rows), len(data))]
+    out: list[int] = []
+    for row, v in zip(rows, data):
+        out += row[v]
+    return tuple(out)
+
+
+def _reverse(mask: int) -> int:
+    """Mirror a mask within its bit length: for a gap mask with Frobenius
+    number F, bit x moves to bit F - x."""
+    return int(bin(mask)[:1:-1], 2)
+
+
+def _canonical_key(S: Semigroup) -> int:
+    """Sort key giving lexicographic order of gap tuples among semigroups
+    with one Frobenius number F.  Every such tuple ends in F, so none is a
+    prefix of another, and the first gap where two tuples differ is the
+    highest differing bit of the reversed masks: the smaller tuple has it."""
+    return -_reverse(S.mask)
+
+
+def _sumset(N: int, bound: int) -> int:
+    """Mask of the sums a + b <= bound with a, b in the mask N."""
+    sums = 0
+    for a in _bits(N & ((2 << (bound // 2)) - 1)):
+        sums |= N << a
+    return sums & ((2 << bound) - 1)
+
+
+class Semigroup:
+    """A numerical semigroup identified by its gap mask `mask`.
+
+    Instances are immutable; the constructor takes the gaps in any order,
+    repeats allowed, and checks positivity but does NOT check additive
+    closure of the complement.  Use :func:`from_gaps` for validated
+    construction from untrusted input; the enumeration algorithms
+    construct directly because closure is guaranteed by the theorems they
+    implement.  The sorted gap tuple `gaps` is built on first read, and
+    :func:`compute_stats` memoizes the invariants on the instance.
     """
 
-    __slots__ = ("gaps", "_gapset")
+    __slots__ = ("mask", "_gaps", "_stats")
 
     def __init__(self, gaps: Iterable[int] = ()):
-        gaps = tuple(sorted(set(gaps)))
-        if gaps and gaps[0] < 1:
-            raise ValueError("gaps must be positive integers")
-        self.gaps = gaps
-        self._gapset = frozenset(gaps)
+        mask = 0
+        for g in gaps:
+            if g < 1:
+                raise ValueError("gaps must be positive integers")
+            mask |= 1 << g
+        self.mask = mask
+        self._gaps = None
+        self._stats = None
 
     @classmethod
-    def _from_sorted(cls, gaps: tuple[int, ...]) -> "Semigroup":
-        # hot-path constructor: caller guarantees sorted, distinct, positive;
-        # the frozenset is built lazily on first membership query
+    def _from_mask(cls, mask: int) -> "Semigroup":
+        # hot-path constructor: caller guarantees bit 0 is clear
         self = object.__new__(cls)
-        self.gaps = gaps
-        self._gapset = None
+        self.mask = mask
+        self._gaps = None
+        self._stats = None
         return self
 
     @property
-    def frobenius(self) -> int:
-        return self.gaps[-1] if self.gaps else -1
+    def gaps(self) -> tuple[int, ...]:
+        gaps = self._gaps
+        if gaps is None:
+            gaps = self._gaps = _bits(self.mask)
+        return gaps
 
-    def gap_set(self) -> frozenset:
-        gs = self._gapset
-        if gs is None:
-            gs = self._gapset = frozenset(self.gaps)
-        return gs
+    @property
+    def frobenius(self) -> int:
+        return self.mask.bit_length() - 1
 
     def contains(self, x: int) -> bool:
-        return x >= 0 and x not in self.gap_set()
+        return x >= 0 and not self.mask >> x & 1
 
     __contains__ = contains
 
     def members(self, upto: int) -> Iterator[int]:
         """Yield the elements of S in [0, upto]."""
-        return (x for x in range(upto + 1) if x not in self.gap_set())
+        return (x for x in range(upto + 1) if not self.mask >> x & 1)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Semigroup) and self.gaps == other.gaps
+        return isinstance(other, Semigroup) and self.mask == other.mask
 
     def __lt__(self, other: "Semigroup") -> bool:
         return self.gaps < other.gaps
 
     def __hash__(self) -> int:
-        return hash(self.gaps)
+        return hash(self.mask)
 
     def __repr__(self) -> str:
         return f"Semigroup(gaps={list(self.gaps)})"
@@ -102,17 +153,19 @@ class Semigroup:
 def from_gaps(gaps: Iterable[int]) -> Semigroup:
     """Build a semigroup from a prescribed gap set, verifying closure.
 
-    Raises ClosureViolation(a, b) if two nonzero non-gaps a, b sum to a gap.
+    Raises ClosureViolation(a, b) if two nonzero non-gaps a, b sum to a
+    gap; the smallest such gap is reported, with the smallest such a.
     """
     S = Semigroup(gaps)
-    if not S.gaps:
+    G = S.mask
+    if not G:
         return S
     F = S.frobenius
-    member = [x not in S.gap_set() for x in range(F + 1)]
-    for g in S.gaps:
-        for a in range(1, g // 2 + 1):
-            if member[a] and member[g - a]:
-                raise ClosureViolation(a, g - a)
+    bad = _sumset(~G & ((2 << F) - 2), F) & G
+    if bad:
+        g = (bad & -bad).bit_length() - 1
+        a = next(a for a in range(1, g) if S.contains(a) and S.contains(g - a))
+        raise ClosureViolation(a, g - a)
     return S
 
 
@@ -164,7 +217,8 @@ class Stats:
     """Derived invariants of a numerical semigroup.
 
     gaps_first is N(S) = {x gap | F - x in S}; gaps_second is L(S), the
-    remaining gaps.  type_ = len(pf).
+    remaining gaps.  Both are computed from the gap mask when read.
+    type_ = len(pf).
     """
 
     frobenius: int
@@ -173,52 +227,50 @@ class Stats:
     msg: tuple[int, ...]
     pf: tuple[int, ...]
     type_: int
-    gaps_first: tuple[int, ...]
-    gaps_second: tuple[int, ...]
+    _gap_mask: int = field(default=0, repr=False)
+
+    @property
+    def gaps_first(self) -> tuple[int, ...]:
+        G = self._gap_mask
+        return _bits(G & ~_reverse(G))
+
+    @property
+    def gaps_second(self) -> tuple[int, ...]:
+        G = self._gap_mask
+        return _bits(G & _reverse(G))
 
 
-@functools.lru_cache(maxsize=None)
 def compute_stats(S: Semigroup) -> Stats:
-    """Compute all basic invariants of S.
+    """Compute all basic invariants of S, once per instance.
 
+    With G the gap mask, F its top bit and m the multiplicity (the lowest
+    clear bit above 0), N is the mask of nonzero members up to F + m.
     Minimal generators are searched up to F + m: any s > F + m splits as
-    m + (s - m) with both summands nonzero members.  The pseudo-Frobenius
-    test is reduced to generators: x is in PF iff x is a gap and x + n is
-    a member for every minimal generator n (every nonzero member is a sum
-    of minimal generators).
+    m + (s - m) with both summands nonzero members.  So msg is N minus
+    the sumset N + N.  The pseudo-Frobenius test is reduced to
+    generators: x is in PF iff x is a gap and x + n is a member for every
+    minimal generator n (every nonzero member is a sum of minimal
+    generators), i.e. PF = G & ~OR(G >> n for n in msg).
     """
-    gaps = S.gaps
-    if not gaps:
-        return Stats(-1, 0, 1, (1,), (), 0, (), ())
-    F = gaps[-1]
-    gapset = S.gap_set()
-
-    multiplicity = 1
-    while multiplicity in gapset:
-        multiplicity += 1
-    m = multiplicity
-
-    bound = F + m
-    member = [x > F or x not in gapset for x in range(bound + 1)]
-
-    msg = []
-    for s in range(m, bound + 1):
-        if not member[s]:
-            continue
-        if any(member[a] and member[s - a] for a in range(m, s - m + 1)):
-            continue
-        msg.append(s)
-
-    def in_S(x: int) -> bool:
-        return x > F or (x >= 0 and x not in gapset)
-
-    pf = tuple(x for x in gaps if all(in_S(x + n) for n in msg))
-
-    gaps_first = tuple(x for x in gaps if (F - x) not in gapset)
-    gaps_second = tuple(x for x in gaps if (F - x) in gapset)
-
-    return Stats(F, len(gaps), m, tuple(msg), pf, len(pf),
-                 gaps_first, gaps_second)
+    st = S._stats
+    if st is not None:
+        return st
+    G = S.mask
+    if not G:
+        st = Stats(-1, 0, 1, (1,), (), 0)
+    else:
+        F = G.bit_length() - 1
+        m = (~(G | 1) & ((G | 1) + 1)).bit_length() - 1
+        bound = F + m
+        N = ((2 << bound) - 2) & ~G
+        msg = _bits(N & ~_sumset(N, bound))
+        covered = 0
+        for n in msg:
+            covered |= G >> n
+        pf = G & ~covered
+        st = Stats(F, G.bit_count(), m, msg, _bits(pf), pf.bit_count(), G)
+    S._stats = st
+    return st
 
 
 @dataclass(frozen=True)
@@ -233,10 +285,11 @@ class TreeEdge:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Deduplicated, canonically ordered enumeration output.
+    """Canonically ordered enumeration output.
 
-    collisions counts how many raw results were dropped as duplicates
-    (distinct construction paths reaching the same semigroup).
+    collisions is kept for report consumers and is always 0: collect
+    raises on a duplicate, since no enumeration may reach a semigroup by
+    two construction paths.
     """
 
     semigroups: tuple[Semigroup, ...]
@@ -257,8 +310,13 @@ class EnumerationResult:
     @classmethod
     def collect(cls, semigroups: Iterable[Semigroup], algorithm: str,
                 depth: int, edges: Iterable[TreeEdge] = ()) -> "EnumerationResult":
+        """Sort distinct semigroups with one Frobenius number into
+        canonical order.  A duplicate, or a second Frobenius number, is an
+        internal invariant failure and raises RuntimeError."""
         raw = list(semigroups)
-        by_gaps = {S.gaps: S for S in raw}
-        unique = tuple(by_gaps[g] for g in sorted(by_gaps))
-        return cls(unique, algorithm, depth, tuple(edges),
-                   len(raw) - len(unique))
+        if len({S.mask for S in raw}) != len(raw):
+            raise RuntimeError(f"{algorithm} enumeration produced a semigroup twice")
+        if len({S.frobenius for S in raw}) > 1:
+            raise RuntimeError(f"{algorithm} enumeration mixed Frobenius numbers")
+        raw.sort(key=_canonical_key)
+        return cls(tuple(raw), algorithm, depth, tuple(edges))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (EnumerationResult, InvalidParameters, Semigroup, TreeEdge,
-                   compute_stats)
+                   _bits, compute_stats)
 
 
 @dataclass(frozen=True)
@@ -32,21 +32,6 @@ def _mask(values) -> int:
     for v in values:
         m |= 1 << v
     return m
-
-
-_BYTE_BITS = [tuple(b for b in range(8) if i >> b & 1) for i in range(256)]
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    out = []
-    base = 0
-    while mask:
-        byte = mask & 0xFF
-        if byte:
-            out += [base + b for b in _BYTE_BITS[byte]]
-        mask >>= 8
-        base += 8
-    return tuple(out)
 
 
 def root_node(F: int) -> DescendNode:
@@ -82,34 +67,23 @@ def descend_children(node: DescendNode, F: int) -> list[DescendNode]:
     return [DescendNode(_bits(ga1), _bits(pf1), x) for ga1, pf1, x in children]
 
 
-def _oracle_fallback(F: int, target: int, algorithm: str) -> EnumerationResult:
-    # small Frobenius numbers are done by direct computation
-    from .oracle import oracle_as
-
-    sems = [S for S in oracle_as(F)
-            if compute_stats(S).type_ >= target]
-    return EnumerationResult.collect(sems, algorithm, 0)
-
-
 def as_down_to_type(F: int, t: int, *, with_edges: bool = False,
                     verify: bool = False) -> EnumerationResult:
     """All AS semigroups with Frobenius number F and type >= t (rounded up
     to the parity of F), by level-order descent from M(F).
 
     verify=True recomputes the pseudo-Frobenius set of every node from
-    scratch and checks almost symmetry; this is quadratic per node and
-    meant for differential testing, not production runs.
+    scratch and checks almost symmetry, raising RuntimeError on the first
+    mismatch; it is meant for differential testing, not production runs.
     """
     if F < 1:
         raise InvalidParameters("F must be >= 1")
     if t < 1 or t > F:
         raise InvalidParameters("need 1 <= t <= F")
     target = t if (F - t) % 2 == 0 else t + 1
-    if F <= 4:
-        return _oracle_fallback(F, target, "descending")
 
-    root = root_node(F)
-    level = [(_mask(root.gaps), _mask(root.pf), root.multiplicity)]
+    root = (1 << (F + 1)) - 2  # M(F): gaps = pf = {1..F}
+    level = [(root, root, F + 1)]
     all_masks = list(level)
     edges: list[tuple[int, int, int]] = []  # (parent gaps mask, child gaps mask, x)
     cur_type = F
@@ -131,27 +105,24 @@ def as_down_to_type(F: int, t: int, *, with_edges: bool = False,
                 append((ga1, pf1, x))
                 if with_edges:
                     edges.append((ga, ga1, x))
-        if cur_type == F:
-            # the root has the unique child with gaps {1..F} \ {F-1}
-            assert len(nxt) == 1 and nxt[0][0] == _mask(root.gaps) & ~(1 << (F - 1))
+        if cur_type == F and [ga for ga, _, _ in nxt] != [root & ~(1 << (F - 1))]:
+            raise RuntimeError("M(F) must have the single child with gaps {1..F} \\ {F-1}")
         level = nxt
         all_masks.extend(nxt)
         cur_type -= 2
         depth += 1
 
-    if __debug__:
-        assert len({ga for ga, _, _ in all_masks}) == len(all_masks), \
-            "descending tree revisited a node"
-
-    by_mask = {}
-    for ga, pf, _ in all_masks:
-        by_mask[ga] = Semigroup._from_sorted(_bits(ga))
+    by_mask = {ga: Semigroup._from_mask(ga) for ga, _, _ in all_masks}
+    if len(by_mask) != len(all_masks):
+        raise RuntimeError("descending tree revisited a node")
     if verify:
         for ga, pf, _ in all_masks:
             S = by_mask[ga]
             st = compute_stats(S)
-            assert _mask(st.pf) == pf, f"incremental PF drifted on {S}"
-            assert 2 * st.genus == st.frobenius + st.type_
+            if st.pf != _bits(pf):
+                raise RuntimeError(f"incremental PF drifted on {S}")
+            if 2 * st.genus != st.frobenius + st.type_:
+                raise RuntimeError(f"descending reached {S}, which is not almost symmetric")
     tree_edges = tuple(
         TreeEdge(by_mask[p], by_mask[c], x) for p, c, x in edges
     ) if with_edges else ()

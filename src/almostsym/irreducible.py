@@ -4,7 +4,7 @@ Frobenius number, rooted at C(F)."""
 from __future__ import annotations
 
 from .core import (EnumerationResult, InvalidParameters, Semigroup, TreeEdge,
-                   compute_stats)
+                   _canonical_key, compute_stats)
 from .classify import canonical_C
 
 
@@ -28,7 +28,7 @@ def irreducible_children(S: Semigroup, F: int) -> list[TreeEdge]:
             continue
         if F - x >= st.multiplicity:
             continue
-        child = Semigroup((S.gap_set() - {F - x}) | {x})
+        child = Semigroup._from_mask((S.mask & ~(1 << (F - x))) | 1 << x)
         edges.append(TreeEdge(S, child, x))
     return edges
 
@@ -41,8 +41,7 @@ def enumerate_irreducible(F: int) -> EnumerationResult:
     root = canonical_C(F)
     found = [root]
     edges = []
-    if __debug__:
-        seen = {root.gaps}
+    seen = {root.mask}
     depth = 0
     stack = [(root, 0)]
     while stack:
@@ -52,10 +51,10 @@ def enumerate_irreducible(F: int) -> EnumerationResult:
         edges.extend(children)
         # reversed so that DFS visits smaller x first
         for edge in reversed(children):
-            if __debug__:
-                assert edge.child.gaps not in seen, "irreducible tree revisited a node"
-                seen.add(edge.child.gaps)
+            if edge.child.mask in seen:
+                raise RuntimeError(f"irreducible tree revisited {edge.child}")
+            seen.add(edge.child.mask)
             found.append(edge.child)
             stack.append((edge.child, d + 1))
-    edges.sort(key=lambda e: (e.parent.gaps, e.x))
+    edges.sort(key=lambda e: (_canonical_key(e.parent), e.x))
     return EnumerationResult.collect(found, "irreducible", depth, edges)

@@ -112,7 +112,7 @@ def test_criterion_7_incremental_pf_exact():
     for F in range(5, 15):
         as_all_descending(F, verify=True)
     for F in range(1, 5):
-        as_all_descending(F, verify=True)  # oracle fallback, trivially exact
+        as_all_descending(F, verify=True)  # smallest cases: root and its one child
     report(7, "maintained PF equals recomputed PF at every descending node, F <= 14")
 
 

@@ -1,8 +1,22 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import almostsym
 from almostsym.cli import main
+
+# the directory holding the package, for CLI runs in a fresh interpreter
+PACKAGE_ROOT = str(Path(almostsym.__file__).resolve().parent.parent)
+
+
+def cli_process(*argv, python_flags=(), **kwargs):
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    return subprocess.Popen([sys.executable, *python_flags, "-m", "almostsym.cli",
+                             *argv], env=env, **kwargs)
 
 
 def run(capsys, *argv):
@@ -121,3 +135,68 @@ def test_determinism_across_threads(capsys):
             outputs.append(out)
     half = len(outputs) // 2
     assert outputs[:half] == outputs[half:]
+
+
+def test_min_type_ascending_enumerates_irreducibles_once(capsys, monkeypatch):
+    import almostsym.ascending
+    import almostsym.cli
+
+    calls = []
+
+    def counted(F, _enumerate=almostsym.cli.enumerate_irreducible):
+        calls.append(F)
+        return _enumerate(F)
+
+    monkeypatch.setattr(almostsym.cli, "enumerate_irreducible", counted)
+    monkeypatch.setattr(almostsym.ascending, "enumerate_irreducible", counted)
+    code, out, _ = run(capsys, "as-ascending", "--frobenius", "15",
+                       "--min-type", "5")
+    assert code == 0
+    assert calls == [15]
+    _, expected, _ = run(capsys, "as-descending", "--frobenius", "15",
+                         "--min-type", "5")
+    assert out == expected
+
+
+def test_min_type_ascending_rejects_bad_frobenius(capsys):
+    code, out, err = run(capsys, "as-ascending", "--frobenius", "0",
+                         "--min-type", "1")
+    assert code == 2
+    assert out == ""
+
+
+def test_duplicate_is_internal_error(capsys, monkeypatch):
+    import almostsym.ascending
+
+    # every removal set now gives back the irreducible itself
+    monkeypatch.setattr(almostsym.ascending, "_remove", lambda S, A: S)
+    code, out, err = run(capsys, "as-ascending", "--frobenius", "11")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:") and "twice" in err
+
+
+def test_same_output_under_python_O():
+    argv = ("as-descending", "--frobenius", "20")
+    outputs = []
+    for flags in ((), ("-O",)):
+        proc = cli_process(*argv, python_flags=flags, stdout=subprocess.PIPE)
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 103  # AS semigroups with F = 20
+
+
+def test_closed_pipe_ends_quietly():
+    # the answer (about 200 kB) is larger than a pipe buffer, so the
+    # writer is still printing when the reader goes away
+    proc = cli_process("as-descending", "--frobenius", "30",
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert json.loads(first)["frobenius"] == 30
+    assert err == b""

@@ -4,8 +4,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from almostsym import (ClosureViolation, NotNumerical, Semigroup, compute_stats,
-                       contains, from_gaps, from_generators)
+from almostsym import (ClosureViolation, EnumerationResult, NotNumerical,
+                       Semigroup, compute_stats, contains, from_gaps,
+                       from_generators)
 from almostsym.oracle import all_with_frobenius
 
 C11_GAPS = (1, 2, 3, 4, 5, 11)
@@ -122,6 +123,72 @@ def test_pf_definitional_equivalence_small():
             assert st_.pf == definitional
 
 
+def definitional_stats(S):
+    """The fields of compute_stats(S), recomputed from their definitions
+    with plain sets, sharing nothing with the bitset kernel."""
+    gaps = set(S.gaps)
+    if not gaps:
+        return (-1, 0, 1, (1,), (), 0, (), ())
+    F = max(gaps)
+    # every minimal generator is at most 2F + 1: a larger member x is
+    # (F + 1) + (x - F - 1) with both summands nonzero members
+    members = [x for x in range(1, 2 * F + 2) if x not in gaps]
+    sums = {a + b for a in members for b in members}
+    msg = tuple(x for x in members if x not in sums)
+    pf = tuple(sorted(x for x in gaps
+                      if all(x + s not in gaps for s in members)))
+    first = tuple(sorted(x for x in gaps if F - x not in gaps))
+    second = tuple(sorted(x for x in gaps if F - x in gaps))
+    return (F, len(gaps), members[0], msg, pf, len(pf), first, second)
+
+
+def stats_fields(S):
+    st_ = compute_stats(S)
+    return (st_.frobenius, st_.genus, st_.multiplicity, st_.msg, st_.pf,
+            st_.type_, st_.gaps_first, st_.gaps_second)
+
+
+def test_stats_match_definitions_up_to_f18():
+    checked = 0
+    for F in range(1, 19):
+        for S in all_with_frobenius(F):
+            assert stats_fields(S) == definitional_stats(S), S
+            checked += 1
+    assert checked == 1654
+
+
+# generators up to 16 keep F below 15 * 15 and the quadratic definitions fast
+@given(st.sets(st.integers(min_value=1, max_value=16), min_size=1, max_size=6))
+def test_stats_match_definitions_on_generated(gens):
+    if math.gcd(*gens) != 1:
+        return
+    S = from_generators(gens)
+    assert stats_fields(S) == definitional_stats(S)
+
+
+def test_stats_memoized_per_semigroup():
+    S = from_generators({6, 7, 8, 9, 10})
+    assert compute_stats(S) is compute_stats(S)
+    # no process-wide cache: an equal semigroup computes its own stats
+    assert not hasattr(compute_stats, "cache_info")
+    T = from_gaps(S.gaps)
+    assert compute_stats(T) == compute_stats(S)
+    assert compute_stats(T) is not compute_stats(S)
+
+
+def test_collect_rejects_duplicates():
+    S = from_generators({3, 7})
+    with pytest.raises(RuntimeError, match="twice"):
+        EnumerationResult.collect([S, from_gaps(S.gaps)], "test", 0)
+
+
+def test_collect_orders_lexicographically():
+    sems = list(all_with_frobenius(12))
+    result = EnumerationResult.collect(reversed(sems), "test", 0)
+    assert [S.gaps for S in result] == sorted(S.gaps for S in sems)
+    assert result.collisions == 0
+
+
 @given(st.sets(st.integers(min_value=1, max_value=12), min_size=1))
 def test_roundtrip_generators_gaps(gens):
     g = 0
@@ -132,7 +199,11 @@ def test_roundtrip_generators_gaps(gens):
             from_generators(gens)
         return
     S = from_generators(gens)
-    assert from_gaps(S.gaps).gaps == S.gaps
+    T = from_gaps(S.gaps)
+    assert T.gaps == S.gaps
+    assert T == S and hash(T) == hash(S)
+    assert S.mask == sum(1 << x for x in S.gaps)
+    assert S.frobenius == max(S.gaps, default=-1)
 
 
 @given(st.sets(st.integers(min_value=1, max_value=30), min_size=1, max_size=12))

@@ -70,7 +70,7 @@ def test_small_frobenius_direct():
 
 def test_incremental_pf_is_exact():
     for F in range(5, 15):
-        as_all_descending(F, verify=True)  # asserts internally per node
+        as_all_descending(F, verify=True)  # raises on the first drifted node
 
 
 def test_every_node_is_as_with_expected_type():

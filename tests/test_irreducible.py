@@ -72,7 +72,7 @@ def test_matches_oracle():
 
 
 def test_tree_reaches_every_node_once():
-    # the debug seen-set assert inside the traversal fires on any revisit
+    # the seen-set check inside the traversal raises on any revisit
     for F in range(1, 21):
         result = enumerate_irreducible(F)
         assert len(result.edges) == len(result) - 1
