@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from .core import (EnumerationResult, InvalidParameters, LimitExceeded,
                    Semigroup, compute_stats, from_gaps, from_generators)
@@ -35,6 +36,12 @@ def semigroup_record(S: Semigroup) -> dict:
         "type": st.type_,
         "multiplicity": st.multiplicity,
     }
+
+
+# Records per write.  print() makes two system calls per record when stdout
+# is unbuffered (python -u, PYTHONUNBUFFERED), and a reader on a pipe then
+# wakes up for every one of them.
+_WRITE_BATCH = 256
 
 
 def _int_list(text: str) -> list[int]:
@@ -62,8 +69,9 @@ def _emit_result(result: EnumerationResult, args, out) -> None:
             print(json.dumps({"type": t, "count": by_type[t]}), file=out)
         print(json.dumps({"total": len(sems)}), file=out)
     else:
-        for S in sems:
-            print(json.dumps(semigroup_record(S)), file=out)
+        records = (json.dumps(semigroup_record(S)) for S in sems)
+        while batch := list(islice(records, _WRITE_BATCH)):
+            out.write("\n".join(batch) + "\n")
 
 
 def _emit_dot(result: EnumerationResult, out) -> None:

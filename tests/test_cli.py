@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -7,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import almostsym
+from almostsym import cli
 from almostsym.cli import main
+from almostsym.descending import as_all_descending
 
 # the directory holding the package, for CLI runs in a fresh interpreter
 PACKAGE_ROOT = str(Path(almostsym.__file__).resolve().parent.parent)
@@ -186,6 +189,24 @@ def test_same_output_under_python_O():
         outputs.append(out)
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"\n") == 103  # AS semigroups with F = 20
+
+
+def test_records_written_in_batches(monkeypatch):
+    # one write per batch of records, not two per record from print()
+    class CountingWriter(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    out = CountingWriter()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["as-descending", "--frobenius", "30"]) == 0
+    records = [json.dumps(cli.semigroup_record(S)) for S in as_all_descending(30)]
+    assert len(records) > cli._WRITE_BATCH
+    assert out.getvalue() == "".join(line + "\n" for line in records)
+    assert out.writes == -(-len(records) // cli._WRITE_BATCH)
 
 
 def test_closed_pipe_ends_quietly():
