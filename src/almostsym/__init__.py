@@ -8,22 +8,21 @@ from .classify import (as_exists, canonical_C, canonical_M, is_almost_symmetric,
                        is_irreducible, is_pseudo_symmetric, is_symmetric)
 from .irreducible import enumerate_irreducible, irreducible_children
 from .ascending import as_all_ascending, as_with_type, b_count, removal_candidates
-from .descending import (DescendNode, as_all_descending, as_down_to_type,
-                         descend_children, root_node)
+from .descending import as_all_descending, as_down_to_type
 from .oracle import all_with_frobenius, oracle_as
 
 _BENCH_NAMES = ("BenchReport", "BenchRow", "run_bench", "render_table")
 
 __all__ = [
     "ClosureViolation", "NotNumerical", "InvalidParameters", "LimitExceeded",
-    "Semigroup", "Stats", "TreeEdge", "EnumerationResult", "DescendNode",
+    "Semigroup", "Stats", "TreeEdge", "EnumerationResult",
     "BenchReport", "BenchRow",
     "from_gaps", "from_generators", "contains", "compute_stats",
     "is_symmetric", "is_pseudo_symmetric", "is_irreducible",
     "is_almost_symmetric", "canonical_C", "canonical_M", "as_exists",
     "irreducible_children", "enumerate_irreducible",
     "b_count", "removal_candidates", "as_with_type", "as_all_ascending",
-    "descend_children", "as_down_to_type", "as_all_descending", "root_node",
+    "as_down_to_type", "as_all_descending",
     "all_with_frobenius", "oracle_as",
     "run_bench", "render_table",
 ]

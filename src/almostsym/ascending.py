@@ -9,7 +9,6 @@ x + y - F outside S' \\ A for every pair x, y in A (pairs include x = y).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator
 
 from .core import EnumerationResult, InvalidParameters, Semigroup, compute_stats
@@ -102,27 +101,16 @@ def as_with_type(F: int, t: int, *, use_b_filter: bool = True,
     return EnumerationResult.collect(out, "ascending", k)
 
 
-def as_all_ascending(F: int, workers: int = 1) -> EnumerationResult:
+def as_all_ascending(F: int) -> EnumerationResult:
     """All almost symmetric semigroups with Frobenius number F: the union
     of as_with_type(F, t) over feasible t, computing the irreducibles once.
 
     Each irreducible is scanned once for removal sets of every size; a set
-    of size k yields a semigroup of type 2k + t(S').  `workers` splits the
-    per-irreducible work across threads; the merged output is canonically
-    sorted either way.
+    of size k yields a semigroup of type 2k + t(S').
     """
     if F < 1:
         raise InvalidParameters("F must be >= 1")
     irr = enumerate_irreducible(F)
     kmax = (F + 1) // 2 - 1
-
-    def removals(Sp: Semigroup) -> list[Semigroup]:
-        return [_remove(Sp, A) for A in _removal_sets(Sp, kmax)]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(removals, irr))
-    else:
-        chunks = [removals(Sp) for Sp in irr]
-    out = [S for chunk in chunks for S in chunk]
+    out = [_remove(Sp, A) for Sp in irr for A in _removal_sets(Sp, kmax)]
     return EnumerationResult.collect(out, "ascending", kmax)

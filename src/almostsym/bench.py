@@ -15,9 +15,9 @@ from .oracle import oracle_as, DEFAULT_F_MAX
 DEFAULT_F_LIST = (13, 14, 15, 20, 25, 30, 40)
 
 _ALGORITHMS = {
-    "ascending": lambda F, workers: as_all_ascending(F, workers=workers),
-    "descending": lambda F, workers: as_all_descending(F),
-    "oracle": lambda F, workers: oracle_as(F, workers=workers),
+    "ascending": as_all_ascending,
+    "descending": as_all_descending,
+    "oracle": oracle_as,
 }
 
 
@@ -40,7 +40,7 @@ class BenchReport:
 
 
 def run_bench(f_list=DEFAULT_F_LIST, algorithms=("ascending", "descending"),
-              workers: int = 1, oracle_f_max: int = DEFAULT_F_MAX) -> BenchReport:
+              oracle_f_max: int = DEFAULT_F_MAX) -> BenchReport:
     """Time each (F, algorithm) pair and check the counts agree per F."""
     f_list = tuple(f_list)
     if not f_list:
@@ -55,7 +55,7 @@ def run_bench(f_list=DEFAULT_F_LIST, algorithms=("ascending", "descending"),
             if name == "oracle" and F > oracle_f_max:
                 continue
             start = time.perf_counter()
-            result = _ALGORITHMS[name](F, workers)
+            result = _ALGORITHMS[name](F)
             elapsed = time.perf_counter() - start
             counts[name] = len(result)
             rows.append(BenchRow(F, name, elapsed, len(result)))
@@ -65,7 +65,6 @@ def run_bench(f_list=DEFAULT_F_LIST, algorithms=("ascending", "descending"),
         "machine": platform.platform(),
         "python": platform.python_version(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "workers": workers,
     }
     return BenchReport(tuple(rows), metadata)
 

@@ -11,13 +11,13 @@ quietly with exit code 0.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import islice
 
-from .core import (EnumerationResult, InvalidParameters, LimitExceeded,
-                   Semigroup, compute_stats, from_gaps, from_generators)
+from .core import (TABLE_BYTES, EnumerationResult, InvalidParameters,
+                   LimitExceeded, Semigroup, _bits, compute_stats, from_gaps,
+                   from_generators)
 from .ascending import as_all_ascending, as_with_type
 from .classify import as_exists
 from .descending import as_all_descending, as_down_to_type
@@ -25,17 +25,36 @@ from .irreducible import enumerate_irreducible
 from .oracle import oracle_as
 
 
-def semigroup_record(S: Semigroup) -> dict:
+# _LIST_ROWS[i][v] is the ", "-joined decimal text of the positions of the
+# set bits of byte value v at byte i of a mask ("" for v = 0), grown and
+# bounded like core._BYTE_ROWS.
+_LIST_ROWS: list[list[str]] = []
+
+
+def _list_text(mask: int) -> str:
+    """The positions of the set bits of a nonnegative mask, ascending, as
+    the body of a JSON list: "1, 2, 5"."""
+    global _LIST_ROWS
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    if len(data) > TABLE_BYTES:
+        return ", ".join(map(str, _bits(mask)))
+    rows = _LIST_ROWS
+    if len(rows) < len(data):
+        rows = _LIST_ROWS = rows + [
+            [", ".join(str(8 * i + b) for b in range(8) if v >> b & 1)
+             for v in range(256)]
+            for i in range(len(rows), len(data))]
+    return ", ".join([row[v] for row, v in zip(rows, data) if v])
+
+
+def _record(S: Semigroup) -> str:
+    """The JSON record of S, with fields in the fixed order gaps, msg, pf,
+    frobenius, genus, type, multiplicity, as `json.dumps` would write it."""
     st = compute_stats(S)
-    return {
-        "gaps": list(S.gaps),
-        "msg": list(st.msg),
-        "pf": list(st.pf),
-        "frobenius": st.frobenius,
-        "genus": st.genus,
-        "type": st.type_,
-        "multiplicity": st.multiplicity,
-    }
+    return (f'{{"gaps": [{_list_text(S.mask)}], "msg": [{_list_text(st.msg_mask)}], '
+            f'"pf": [{_list_text(st.pf_mask)}], "frobenius": {st.frobenius}, '
+            f'"genus": {st.genus}, "type": {st.type_}, '
+            f'"multiplicity": {st.multiplicity}}}')
 
 
 # Records per write.  print() makes two system calls per record when stdout
@@ -66,10 +85,10 @@ def _emit_result(result: EnumerationResult, args, out) -> None:
             t = compute_stats(S).type_
             by_type[t] = by_type.get(t, 0) + 1
         for t in sorted(by_type):
-            print(json.dumps({"type": t, "count": by_type[t]}), file=out)
-        print(json.dumps({"total": len(sems)}), file=out)
+            print(f'{{"type": {t}, "count": {by_type[t]}}}', file=out)
+        print(f'{{"total": {len(sems)}}}', file=out)
     else:
-        records = (json.dumps(semigroup_record(S)) for S in sems)
+        records = map(_record, sems)
         while batch := list(islice(records, _WRITE_BATCH)):
             out.write("\n".join(batch) + "\n")
 
@@ -90,7 +109,7 @@ def _cmd_info(args, out) -> None:
         S = from_generators(_int_list(args.gens))
     else:
         S = from_gaps(_int_list(args.gaps))
-    print(json.dumps(semigroup_record(S)), file=out)
+    print(_record(S), file=out)
 
 
 def _cmd_enumerate(args, out) -> None:
@@ -111,13 +130,13 @@ def _cmd_enumerate(args, out) -> None:
                  for S in as_with_type(F, t, _irreducibles=irr)),
                 "ascending", 0)
         else:
-            result = as_all_ascending(F, workers=args.threads)
+            result = as_all_ascending(F)
     elif mode == "as-descending":
         t = args.type if args.type is not None else (args.min_type or 1)
         t = max(1, min(t, F))
         result = as_down_to_type(F, t, with_edges=args.dot)
     elif mode == "oracle":
-        result = oracle_as(F, args.type, workers=args.threads)
+        result = oracle_as(F, args.type)
         if args.min_type is not None:
             result = EnumerationResult.collect(
                 (S for S in result if compute_stats(S).type_ >= args.min_type),
@@ -130,17 +149,23 @@ def _cmd_enumerate(args, out) -> None:
 def _cmd_bench(args, out) -> None:
     # imported here: the bench module and its imports would add to the
     # start-up time of every other subcommand
+    import json
+
     from .bench import DEFAULT_F_LIST, render_table, run_bench
 
     f_list = (list(DEFAULT_F_LIST) if args.frobenius_list is None
               else _int_list(args.frobenius_list))
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    report = run_bench(f_list, algorithms, workers=args.threads)
+    report = run_bench(f_list, algorithms)
     print(render_table(report), file=out)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(report.to_dict(), fh, indent=2)
             fh.write("\n")
+
+
+_THREADS_HELP = ("accepted for scripts that pass it (must be >= 1); every "
+                 "command runs in one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--min-type", type=int, default=None, dest="min_type")
         p.add_argument("--count-only", action="store_true")
         p.add_argument("--dot", action="store_true")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
         p.add_argument("--out", default=None)
 
     bench = sub.add_parser("bench", help="timing comparison of the algorithms")
@@ -171,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated Frobenius numbers "
                             "(default: almostsym.bench.DEFAULT_F_LIST)")
     bench.add_argument("--algorithms", default="ascending,descending")
-    bench.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    bench.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     bench.add_argument("--out", default=None)
     return parser
 
@@ -182,6 +207,8 @@ def main(argv: list[str] | None = None) -> int:
     out = sys.stdout
     opened = None
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise InvalidParameters("--threads must be >= 1")
         if args.command != "bench" and getattr(args, "out", None):
             opened = out = open(args.out, "w")
         if args.command == "info":

@@ -14,7 +14,7 @@ pf = (), type_ = 0, msg = (1,).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -37,20 +37,30 @@ class InvalidParameters(ValueError):
 
 
 class LimitExceeded(ValueError):
-    """Requested size is beyond the configured brute-force limit."""
+    """Requested size is beyond a configured limit."""
+
+
+# Largest Frobenius number that from_gaps and from_generators accept: the
+# work on one semigroup grows with the square of F.
+INPUT_F_MAX = 100_000
 
 
 # _BYTE_ROWS[i][v] holds the positions of the set bits of byte value v
 # at byte i of a mask.  Rows are added as wider masks arrive; a longer
 # list replaces the old one whole, so a concurrent reader never sees a
-# row at the wrong index.
+# row at the wrong index.  Tables like it hold at most TABLE_BYTES rows
+# of 256 entries, which cover the msg masks of every F up to 127; wider
+# masks, from single semigroups given as input, are scanned instead.
 _BYTE_ROWS: list[list[tuple[int, ...]]] = []
+TABLE_BYTES = 32
 
 
 def _bits(mask: int) -> tuple[int, ...]:
     """The positions of the set bits of a nonnegative mask, ascending."""
     global _BYTE_ROWS
     data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    if len(data) > TABLE_BYTES:
+        return tuple(i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1")
     rows = _BYTE_ROWS
     if len(rows) < len(data):
         rows = _BYTE_ROWS = rows + [
@@ -109,12 +119,13 @@ class Semigroup:
         self._stats = None
 
     @classmethod
-    def _from_mask(cls, mask: int) -> "Semigroup":
-        # hot-path constructor: caller guarantees bit 0 is clear
+    def _from_mask(cls, mask: int, stats: Stats | None = None) -> "Semigroup":
+        # hot-path constructor: caller guarantees bit 0 is clear, and that
+        # stats, if given, are those of this mask
         self = object.__new__(cls)
         self.mask = mask
         self._gaps = None
-        self._stats = None
+        self._stats = stats
         return self
 
     @property
@@ -155,7 +166,11 @@ def from_gaps(gaps: Iterable[int]) -> Semigroup:
 
     Raises ClosureViolation(a, b) if two nonzero non-gaps a, b sum to a
     gap; the smallest such gap is reported, with the smallest such a.
+    Raises LimitExceeded when a gap is above INPUT_F_MAX.
     """
+    gaps = list(gaps)
+    if gaps and max(gaps) > INPUT_F_MAX:
+        raise LimitExceeded(f"gap {max(gaps)} is above the limit {INPUT_F_MAX}")
     S = Semigroup(gaps)
     G = S.mask
     if not G:
@@ -172,12 +187,15 @@ def from_gaps(gaps: Iterable[int]) -> Semigroup:
 def from_generators(gens: Iterable[int]) -> Semigroup:
     """Build the semigroup generated by `gens` under addition.
 
-    Membership is sieved upward from 0: n is a member when n == 0 or
-    n - g is a member for some generator g.  Once min(gens) consecutive
-    members have appeared, every larger integer is a member (add the
-    smallest generator), so the sieve stops there.
+    With a the smallest generator and b the smallest one coprime to a
+    (the largest one when none is), F(S) <= (a - 1)(b - 1) - 1 = B: the
+    Sylvester bound F(<a, b>) in the first case, Schur's bound in the
+    second.  Every integer above B is a member, so S is known from its
+    members up to B, a mask closed under adding each generator in turn
+    (closing under +b keeps a set closed under +a).
 
-    Raises NotNumerical when gcd(gens) != 1.
+    Raises NotNumerical when gcd(gens) != 1, and LimitExceeded when B is
+    above INPUT_F_MAX.
     """
     gens = sorted(set(gens))
     if not gens:
@@ -190,21 +208,26 @@ def from_generators(gens: Iterable[int]) -> Semigroup:
     if g != 1:
         raise NotNumerical(f"gcd of generators is {g}")
 
-    m = gens[0]
-    member = [True]  # index 0
-    run = 0
-    gaps = []
-    n = 0
-    while run < m:
-        n += 1
-        is_member = any(n >= a and member[n - a] for a in gens)
-        member.append(is_member)
-        if is_member:
-            run += 1
-        else:
-            run = 0
-            gaps.append(n)
-    return Semigroup(gaps)
+    a = gens[0]
+    b = next((c for c in gens if gcd(a, c) == 1), gens[-1])
+    bound = (a - 1) * (b - 1) - 1
+    if bound > INPUT_F_MAX:
+        raise LimitExceeded(f"generators allow a Frobenius number up to {bound}, "
+                            f"above the limit {INPUT_F_MAX}")
+    if bound < 1:
+        return Semigroup()
+    full = (2 << bound) - 1
+    members = 1
+    for c in gens:
+        if c > bound:
+            break
+        if members >> c & 1:
+            continue  # a sum of earlier generators: the mask is closed under +c
+        step = c
+        while step <= bound:
+            members |= (members << step) & full
+            step <<= 1
+    return Semigroup._from_mask(full & ~members)
 
 
 def contains(S: Semigroup, x: int) -> bool:
@@ -212,31 +235,50 @@ def contains(S: Semigroup, x: int) -> bool:
     return S.contains(x)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Stats:
-    """Derived invariants of a numerical semigroup.
+    """Derived invariants of a numerical semigroup, held as masks.
 
-    gaps_first is N(S) = {x gap | F - x in S}; gaps_second is L(S), the
-    remaining gaps.  Both are computed from the gap mask when read.
-    type_ = len(pf).
+    gap_mask, msg_mask and pf_mask have bit x set iff x is a gap, a
+    minimal generator, or a pseudo-Frobenius number.  The other fields
+    are read from them: frobenius is the top gap, genus the number of
+    gaps, type_ = len(pf).  gaps_first is N(S) = {x gap | F - x in S};
+    gaps_second is L(S), the remaining gaps.
     """
 
-    frobenius: int
-    genus: int
+    gap_mask: int
+    msg_mask: int
+    pf_mask: int
     multiplicity: int
-    msg: tuple[int, ...]
-    pf: tuple[int, ...]
-    type_: int
-    _gap_mask: int = field(default=0, repr=False)
+
+    @property
+    def frobenius(self) -> int:
+        return self.gap_mask.bit_length() - 1
+
+    @property
+    def genus(self) -> int:
+        return self.gap_mask.bit_count()
+
+    @property
+    def type_(self) -> int:
+        return self.pf_mask.bit_count()
+
+    @property
+    def msg(self) -> tuple[int, ...]:
+        return _bits(self.msg_mask)
+
+    @property
+    def pf(self) -> tuple[int, ...]:
+        return _bits(self.pf_mask)
 
     @property
     def gaps_first(self) -> tuple[int, ...]:
-        G = self._gap_mask
+        G = self.gap_mask
         return _bits(G & ~_reverse(G))
 
     @property
     def gaps_second(self) -> tuple[int, ...]:
-        G = self._gap_mask
+        G = self.gap_mask
         return _bits(G & _reverse(G))
 
 
@@ -250,25 +292,25 @@ def compute_stats(S: Semigroup) -> Stats:
     the sumset N + N.  The pseudo-Frobenius test is reduced to
     generators: x is in PF iff x is a gap and x + n is a member for every
     minimal generator n (every nonzero member is a sum of minimal
-    generators), i.e. PF = G & ~OR(G >> n for n in msg).
+    generators), i.e. PF = G & ~OR(G >> n for n in msg).  Semigroups
+    built by the descent arrive with their stats already set.
     """
     st = S._stats
     if st is not None:
         return st
     G = S.mask
     if not G:
-        st = Stats(-1, 0, 1, (1,), (), 0)
+        st = Stats(0, 0b10, 0, 1)
     else:
         F = G.bit_length() - 1
         m = (~(G | 1) & ((G | 1) + 1)).bit_length() - 1
         bound = F + m
         N = ((2 << bound) - 2) & ~G
-        msg = _bits(N & ~_sumset(N, bound))
+        msg = N & ~_sumset(N, bound)
         covered = 0
-        for n in msg:
+        for n in _bits(msg):
             covered |= G >> n
-        pf = G & ~covered
-        st = Stats(F, G.bit_count(), m, msg, _bits(pf), pf.bit_count(), G)
+        st = Stats(G, msg, G & ~covered, m)
     S._stats = st
     return st
 

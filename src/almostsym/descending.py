@@ -1,80 +1,33 @@
 """Descending enumeration: start at M(F) (type F) and repeatedly adjoin
 one element, dropping the type by exactly 2 per level, down to a target
-type.  Gap and pseudo-Frobenius sets are maintained incrementally.
+type.  Gap, pseudo-Frobenius and minimal-generator sets are maintained
+incrementally, as masks.
 
 Adjoining x to an AS semigroup S' with Frobenius F and type t yields an
 AS semigroup of type t - 2 exactly when t - 1 <= x <= m(S') - 1 and
   (b) for every gap g of the child with g - x > 0, g - x is also a gap;
   (c) x + p is a member for every p in PF(S') \\ {x, F - x}.
-Then PF shrinks by {x, F - x} and the child's multiplicity is x.
+Then PF shrinks by {x, F - x} and the child's multiplicity is x.  The
+child's minimal generators are x and those of S' that are not x plus a
+nonzero member of the child (any new sum involves x).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import (EnumerationResult, InvalidParameters, Semigroup, TreeEdge,
-                   _bits, compute_stats)
-
-
-@dataclass(frozen=True)
-class DescendNode:
-    """One node of the descending tree: gap set, pseudo-Frobenius set and
-    multiplicity, all maintained incrementally."""
-
-    gaps: tuple[int, ...]
-    pf: tuple[int, ...]
-    multiplicity: int
-
-
-def _mask(values) -> int:
-    m = 0
-    for v in values:
-        m |= 1 << v
-    return m
-
-
-def root_node(F: int) -> DescendNode:
-    """The M(F) node: gaps = pf = {1..F}, multiplicity F + 1."""
-    full = tuple(range(1, F + 1))
-    return DescendNode(full, full, F + 1)
-
-
-def _children_masks(ga: int, pf: int, m: int, F: int) -> list[tuple[int, int, int]]:
-    t = pf.bit_count()
-    out = []
-    # x = F is excluded (adjoining F would change the Frobenius number),
-    # so the range is capped at min(m, F)
-    for x in range(t - 1, min(m, F)):
-        ga1 = ga & ~(1 << x)
-        pf1 = pf & ~(1 << x) & ~(1 << (F - x))
-        # (b): every child gap g > x must have g - x a gap as well
-        if (ga1 >> x) & ~ga1:
-            continue
-        # (c): sums pf1 + x must avoid the child gaps (sums > F are members)
-        if (pf1 << x) & ga1:
-            continue
-        out.append((ga1, pf1, x))
-    return out
-
-
-def descend_children(node: DescendNode, F: int) -> list[DescendNode]:
-    """Children of an AS node of type >= 3; each has type two less."""
-    if len(node.pf) < 3:
-        raise InvalidParameters("descent requires type >= 3")
-    children = _children_masks(_mask(node.gaps), _mask(node.pf),
-                               node.multiplicity, F)
-    return [DescendNode(_bits(ga1), _bits(pf1), x) for ga1, pf1, x in children]
+from .core import (EnumerationResult, InvalidParameters, Semigroup, Stats,
+                   TreeEdge, compute_stats)
 
 
 def as_down_to_type(F: int, t: int, *, with_edges: bool = False,
                     verify: bool = False) -> EnumerationResult:
     """All AS semigroups with Frobenius number F and type >= t (rounded up
-    to the parity of F), by level-order descent from M(F).
+    to the parity of F), by level-order descent from M(F).  Every result
+    carries its stats, taken from the descent.
 
-    verify=True recomputes the pseudo-Frobenius set of every node from
-    scratch and checks almost symmetry, raising RuntimeError on the first
-    mismatch; it is meant for differential testing, not production runs.
+    verify=True recomputes the stats of every node from its gap mask
+    alone and compares them with the descent's, then checks almost
+    symmetry, raising RuntimeError on the first mismatch; it is meant for
+    differential testing, not production runs.
     """
     if F < 1:
         raise InvalidParameters("F must be >= 1")
@@ -82,45 +35,52 @@ def as_down_to_type(F: int, t: int, *, with_edges: bool = False,
         raise InvalidParameters("need 1 <= t <= F")
     target = t if (F - t) % 2 == 0 else t + 1
 
-    root = (1 << (F + 1)) - 2  # M(F): gaps = pf = {1..F}
-    level = [(root, root, F + 1)]
-    all_masks = list(level)
+    # Minimal generators are at most 2F + 1, so msg masks and the member
+    # masks that test them need bits 1..2F+1 only.
+    members = (2 << (2 * F + 1)) - 2
+    root = (1 << (F + 1)) - 2  # M(F): gaps = pf = {1..F}, msg = {F+1..2F+1}
+    level = [(root, root, members & ~root, F + 1)]
+    all_nodes = list(level)
     edges: list[tuple[int, int, int]] = []  # (parent gaps mask, child gaps mask, x)
     cur_type = F
     depth = 0
     while cur_type > target:
         nxt = []
         append = nxt.append
-        # same candidate test as _children_masks, inlined: every node of
-        # the level has type cur_type, so the candidate range is shared
+        # every node of the level has type cur_type, so the candidate
+        # range starts at the same x; x = F is excluded (adjoining F
+        # would change the Frobenius number), so it ends below min(m, F)
         lo = cur_type - 1
-        for ga, pf, m in level:
+        for ga, pf, msg, m in level:
             for x in range(lo, min(m, F)):
                 ga1 = ga & ~(1 << x)
+                # (b): every child gap g > x must have g - x a gap as well
                 if (ga1 >> x) & ~ga1:
                     continue
                 pf1 = pf & ~(1 << x) & ~(1 << (F - x))
+                # (c): sums pf1 + x must avoid the child gaps (sums > F are members)
                 if (pf1 << x) & ga1:
                     continue
-                append((ga1, pf1, x))
+                append((ga1, pf1, (msg & ~((members ^ ga1) << x)) | 1 << x, x))
                 if with_edges:
                     edges.append((ga, ga1, x))
-        if cur_type == F and [ga for ga, _, _ in nxt] != [root & ~(1 << (F - 1))]:
+        if cur_type == F and [node[0] for node in nxt] != [root & ~(1 << (F - 1))]:
             raise RuntimeError("M(F) must have the single child with gaps {1..F} \\ {F-1}")
         level = nxt
-        all_masks.extend(nxt)
+        all_nodes.extend(nxt)
         cur_type -= 2
         depth += 1
 
-    by_mask = {ga: Semigroup._from_mask(ga) for ga, _, _ in all_masks}
-    if len(by_mask) != len(all_masks):
+    by_mask = {ga: Semigroup._from_mask(ga, Stats(ga, msg, pf, m))
+               for ga, pf, msg, m in all_nodes}
+    if len(by_mask) != len(all_nodes):
         raise RuntimeError("descending tree revisited a node")
     if verify:
-        for ga, pf, _ in all_masks:
-            S = by_mask[ga]
-            st = compute_stats(S)
-            if st.pf != _bits(pf):
-                raise RuntimeError(f"incremental PF drifted on {S}")
+        for S in by_mask.values():
+            carried = compute_stats(S)
+            st = compute_stats(Semigroup._from_mask(S.mask))
+            if st != carried:  # msg, PF, multiplicity or genus
+                raise RuntimeError(f"descending stats {carried} drifted from {st}")
             if 2 * st.genus != st.frobenius + st.type_:
                 raise RuntimeError(f"descending reached {S}, which is not almost symmetric")
     tree_edges = tuple(

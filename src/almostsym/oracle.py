@@ -9,7 +9,6 @@ guarded by a configurable limit, default 18.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 
 from .core import EnumerationResult, InvalidParameters, LimitExceeded, Semigroup, compute_stats
 from .classify import is_almost_symmetric
@@ -46,31 +45,21 @@ def _all_with_frobenius(F: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(_scan_range(F, 0, 1 << (F - 1))))
 
 
-def all_with_frobenius(F: int, f_max: int = DEFAULT_F_MAX,
-                       workers: int = 1) -> EnumerationResult:
+def all_with_frobenius(F: int, f_max: int = DEFAULT_F_MAX) -> EnumerationResult:
     """Every numerical semigroup with Frobenius number exactly F."""
     if F < 1:
         raise InvalidParameters("F must be >= 1")
     if F > f_max:
         raise LimitExceeded(f"oracle limited to F <= {f_max}")
-    if workers > 1:
-        total = 1 << (F - 1)
-        step = max(1, total // workers)
-        ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(lambda r: _scan_range(F, *r), ranges)
-        gap_sets = sorted(g for chunk in chunks for g in chunk)
-    else:
-        gap_sets = _all_with_frobenius(F)
-    return EnumerationResult.collect((Semigroup(g) for g in gap_sets),
+    return EnumerationResult.collect((Semigroup(g) for g in _all_with_frobenius(F)),
                                      "oracle", 0)
 
 
-def oracle_as(F: int, t: int | None = None, f_max: int = DEFAULT_F_MAX,
-              workers: int = 1) -> EnumerationResult:
+def oracle_as(F: int, t: int | None = None,
+              f_max: int = DEFAULT_F_MAX) -> EnumerationResult:
     """Almost symmetric semigroups with Frobenius number F, optionally
     restricted to type t."""
-    base = all_with_frobenius(F, f_max, workers)
+    base = all_with_frobenius(F, f_max)
     sems = [S for S in base if is_almost_symmetric(S)
             and (t is None or compute_stats(S).type_ == t)]
     return EnumerationResult.collect(sems, "oracle", 0)

@@ -99,8 +99,3 @@ def test_as_all_ascending_is_union_over_types():
             if as_exists(F, t):
                 union |= as_with_type(F, t).gap_sets()
         assert as_all_ascending(F).gap_sets() == union
-
-
-def test_workers_do_not_change_output():
-    assert as_all_ascending(14, workers=4).gap_sets() == \
-        as_all_ascending(14).gap_sets()

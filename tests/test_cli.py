@@ -1,19 +1,44 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import almostsym
-from almostsym import cli
+from almostsym import cli, compute_stats, from_gaps, from_generators
 from almostsym.cli import main
 from almostsym.descending import as_all_descending
+from almostsym.oracle import all_with_frobenius
 
 # the directory holding the package, for CLI runs in a fresh interpreter
 PACKAGE_ROOT = str(Path(almostsym.__file__).resolve().parent.parent)
+
+
+def reference_record(S):
+    """The record of S built as a dict in field order and serialized by
+    json.dumps; the CLI's mask formatter must write the same line."""
+    st_ = compute_stats(S)
+    return json.dumps({
+        "gaps": list(S.gaps),
+        "msg": list(st_.msg),
+        "pf": list(st_.pf),
+        "frobenius": st_.frobenius,
+        "genus": st_.genus,
+        "type": st_.type_,
+        "multiplicity": st_.multiplicity,
+    })
+
+
+def assert_record_matches(S):
+    line = cli._record(S)
+    assert line == reference_record(S)
+    assert json.dumps(json.loads(line)) == line
 
 
 def cli_process(*argv, python_flags=(), **kwargs):
@@ -203,7 +228,7 @@ def test_records_written_in_batches(monkeypatch):
     out = CountingWriter()
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["as-descending", "--frobenius", "30"]) == 0
-    records = [json.dumps(cli.semigroup_record(S)) for S in as_all_descending(30)]
+    records = [reference_record(S) for S in as_all_descending(30)]
     assert len(records) > cli._WRITE_BATCH
     assert out.getvalue() == "".join(line + "\n" for line in records)
     assert out.writes == -(-len(records) // cli._WRITE_BATCH)
@@ -221,3 +246,66 @@ def test_closed_pipe_ends_quietly():
     assert proc.wait(timeout=120) == 0
     assert json.loads(first)["frobenius"] == 30
     assert err == b""
+
+
+def test_record_matches_reference_up_to_f18():
+    checked = 0
+    for F in range(1, 19):
+        for S in all_with_frobenius(F):
+            assert_record_matches(S)
+            checked += 1
+    assert checked == 1654
+
+
+def test_record_of_naturals():
+    S = from_gaps([])
+    assert_record_matches(S)
+    assert json.loads(cli._record(S)) == {
+        "gaps": [], "msg": [1], "pf": [], "frobenius": -1, "genus": 0,
+        "type": 0, "multiplicity": 1}
+
+
+# generators up to 60 give Frobenius numbers up to 59 * 58 - 1, so the
+# masks span many bytes of the formatter's table
+@given(st.sets(st.integers(min_value=1, max_value=60), min_size=1, max_size=6))
+def test_record_matches_reference_on_generated(gens):
+    if math.gcd(*gens) != 1:
+        return
+    assert_record_matches(from_generators(gens))
+
+
+def run_with_fault(argv, fault):
+    """Exit status of the CLI in a fresh interpreter, after running the
+    statement `fault` (empty for none) to break an internal invariant."""
+    script = ("import sys, almostsym.ascending, almostsym.cli\n"
+              f"{fault}\n"
+              "sys.exit(almostsym.cli.main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("code, argv, fault, message", [
+    (0, ["as-descending", "--frobenius", "11", "--threads", "1"], "", b""),
+    (2, ["as-descending", "--frobenius", "11", "--threads", "0"], "",
+     b"error: --threads"),
+    (2, ["oracle", "--frobenius", "11", "--threads", "-3"], "",
+     b"error: --threads"),
+    (3, ["info", "--gens", "100000,100001"], "", b"error: generators allow"),
+    # every removal set gives back the irreducible itself: a duplicate
+    (4, ["as-ascending", "--frobenius", "11"],
+     "almostsym.ascending._remove = lambda S, A: S", b"internal error:"),
+])
+def test_exit_code(code, argv, fault, message):
+    proc = run_with_fault(argv, fault)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(message)
+    assert (proc.stdout == b"") == (code != 0)
+
+
+def test_gens_beyond_limit_exit_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "info", "--gens", "100000,100001")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == "" and "limit" in err

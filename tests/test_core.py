@@ -4,9 +4,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from almostsym import (ClosureViolation, EnumerationResult, NotNumerical,
-                       Semigroup, compute_stats, contains, from_gaps,
-                       from_generators)
+from almostsym import (ClosureViolation, EnumerationResult, LimitExceeded,
+                       NotNumerical, Semigroup, compute_stats, contains,
+                       from_gaps, from_generators)
 from almostsym.oracle import all_with_frobenius
 
 C11_GAPS = (1, 2, 3, 4, 5, 11)
@@ -44,6 +44,41 @@ def test_from_generators_trivial():
 def test_from_generators_not_numerical():
     with pytest.raises(NotNumerical):
         from_generators({2, 4})
+
+
+def sieve_gaps(gens):
+    """Gaps of the semigroup generated by gens, sieved upward from 0 until
+    min(gens) consecutive members appear."""
+    m = min(gens)
+    member = [True]
+    gaps = []
+    run = 0
+    while run < m:
+        n = len(member)
+        member.append(any(n >= a and member[n - a] for a in gens))
+        run = run + 1 if member[n] else 0
+        if not member[n]:
+            gaps.append(n)
+    return tuple(gaps)
+
+
+@given(st.sets(st.integers(min_value=1, max_value=40), min_size=1, max_size=8))
+def test_from_generators_matches_sieve(gens):
+    if math.gcd(*gens) != 1:
+        return
+    assert from_generators(gens).gaps == sieve_gaps(gens)
+
+
+def test_from_generators_bounded():
+    # (a - 1)(b - 1) - 1 with a = 100000 and b = 100001 is about 10^10
+    with pytest.raises(LimitExceeded):
+        from_generators({100000, 100001})
+    # a generator coprime to the smallest one bounds F, however large the rest
+    assert from_generators({2, 3, 10**12}).gaps == (1,)
+    # with none coprime to the smallest, the largest one bounds F
+    assert from_generators({6, 10, 15}).gaps == sieve_gaps({6, 10, 15})
+    with pytest.raises(LimitExceeded):
+        from_gaps([1, 10**6])
 
 
 def test_contains_negative():

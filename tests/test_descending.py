@@ -2,35 +2,47 @@ import pytest
 
 from almostsym import (InvalidParameters, compute_stats, is_almost_symmetric,
                        Semigroup)
-from almostsym.descending import (DescendNode, as_all_descending,
-                                  as_down_to_type, descend_children, root_node)
+import almostsym.descending
+from almostsym.descending import as_all_descending, as_down_to_type
 from almostsym.ascending import as_all_ascending
 from almostsym.irreducible import enumerate_irreducible
 from almostsym.oracle import oracle_as
 
 
+def children(result, gaps):
+    """(gaps, pf, multiplicity) of the children of the node `gaps`, in
+    increasing adjoined element."""
+    return [(e.child.gaps, compute_stats(e.child).pf, compute_stats(e.child).multiplicity)
+            for e in sorted(result.edges, key=lambda e: e.x)
+            if e.parent.gaps == gaps]
+
+
 def test_root_node():
-    node = root_node(5)
-    assert node.gaps == node.pf == (1, 2, 3, 4, 5)
-    assert node.multiplicity == 6
+    result = as_down_to_type(5, 5, with_edges=True)
+    assert len(result) == 1 and result.edges == ()
+    st = compute_stats(result.semigroups[0])
+    assert result.semigroups[0].gaps == st.pf == (1, 2, 3, 4, 5)
+    assert st.multiplicity == 6
+    assert st.msg == (6, 7, 8, 9, 10, 11)
 
 
 def test_descend_from_m5():
-    children = descend_children(root_node(5), 5)
-    assert children == [DescendNode((1, 2, 3, 5), (2, 3, 5), 4)]
+    result = as_down_to_type(5, 3, with_edges=True)
+    assert children(result, (1, 2, 3, 4, 5)) == [((1, 2, 3, 5), (2, 3, 5), 4)]
 
 
 def test_descend_second_level():
-    node = DescendNode((1, 2, 3, 5), (2, 3, 5), 4)
-    children = descend_children(node, 5)
-    assert {(c.gaps, c.pf, c.multiplicity) for c in children} == {
-        ((1, 3, 5), (5,), 2), ((1, 2, 5), (5,), 3)}
+    result = as_down_to_type(5, 1, with_edges=True)
+    assert children(result, (1, 2, 3, 5)) == [
+        ((1, 3, 5), (5,), 2), ((1, 2, 5), (5,), 3)]
 
 
 def test_descend_requires_type_at_least_three():
-    node = DescendNode((1, 2, 5), (5,), 3)
-    with pytest.raises(InvalidParameters):
-        descend_children(node, 5)
+    # nodes of type 1 or 2 are leaves: the descent adjoins nothing to them
+    for F in range(1, 15):
+        result = as_all_descending(F, with_edges=True)
+        parents = {e.parent for e in result.edges}
+        assert all(compute_stats(S).type_ >= 3 for S in parents)
 
 
 def test_down_to_type_5_1():
@@ -69,8 +81,23 @@ def test_small_frobenius_direct():
 
 
 def test_incremental_pf_is_exact():
-    for F in range(5, 15):
-        as_all_descending(F, verify=True)  # raises on the first drifted node
+    for F in range(1, 31):
+        as_down_to_type(F, 1, verify=True)  # raises on the first drifted node
+
+
+def test_verify_catches_corrupted_msg(monkeypatch):
+    Stats = almostsym.descending.Stats
+    corrupted = (1, 2, 3, 5)  # the child of M(5)
+
+    def carried(ga, msg, pf, m):
+        if ga == sum(1 << g for g in corrupted):
+            msg ^= 1 << 8  # 8 = 4 + 4 is not a minimal generator
+        return Stats(ga, msg, pf, m)
+
+    monkeypatch.setattr(almostsym.descending, "Stats", carried)
+    as_down_to_type(5, 1)  # without verify the corruption goes unseen
+    with pytest.raises(RuntimeError, match="drifted"):
+        as_down_to_type(5, 1, verify=True)
 
 
 def test_every_node_is_as_with_expected_type():

@@ -53,8 +53,3 @@ def test_closure_check_agrees_with_from_gaps():
             except ClosureViolation:
                 ok = False
             assert ok == (tuple(sorted(gaps)) in accepted)
-
-
-def test_workers_do_not_change_output():
-    assert all_with_frobenius(12, workers=4).gap_sets() == \
-        all_with_frobenius(12).gap_sets()
