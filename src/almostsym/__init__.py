@@ -3,7 +3,7 @@ Frobenius number and type."""
 
 from .core import (ClosureViolation, EnumerationResult, InvalidParameters,
                    LimitExceeded, NotNumerical, Semigroup, Stats, TreeEdge,
-                   compute_stats, contains, from_gaps, from_generators)
+                   compute_stats, from_gaps, from_generators)
 from .classify import (as_exists, canonical_C, canonical_M, is_almost_symmetric,
                        is_irreducible, is_pseudo_symmetric, is_symmetric)
 from .irreducible import enumerate_irreducible, irreducible_children
@@ -17,7 +17,7 @@ __all__ = [
     "ClosureViolation", "NotNumerical", "InvalidParameters", "LimitExceeded",
     "Semigroup", "Stats", "TreeEdge", "EnumerationResult",
     "BenchReport", "BenchRow",
-    "from_gaps", "from_generators", "contains", "compute_stats",
+    "from_gaps", "from_generators", "compute_stats",
     "is_symmetric", "is_pseudo_symmetric", "is_irreducible",
     "is_almost_symmetric", "canonical_C", "canonical_M", "as_exists",
     "irreducible_children", "enumerate_irreducible",

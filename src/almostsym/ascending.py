@@ -5,6 +5,14 @@ An AS semigroup with invariants (F, t) is exactly S' \\ A for some
 irreducible S' with Frobenius F and some A subset of msg(S') with
 |A| = ceil(t/2) - 1, every x in A strictly between F/2 and F, and
 x + y - F outside S' \\ A for every pair x, y in A (pairs include x = y).
+
+Removing k generators from an irreducible of type t(S') (1 for odd F, 2
+for even F) gives type 2k + t(S'), so "type >= t" means |A| >= k(t) =
+ceil(t/2) - 1, with t rounded up to the parity of F.  Both entry points
+answer through one scan: every irreducible's removal sets are walked
+once, up to the largest size asked for, and the sets of at least the
+smallest size asked for are kept.  A bounded type range min..max costs
+only the removal sets up to size k(max).
 """
 
 from __future__ import annotations
@@ -77,6 +85,20 @@ def _remove(S: Semigroup, A: tuple[int, ...]) -> Semigroup:
     return Semigroup._from_mask(mask)
 
 
+def _scan(irr: EnumerationResult, kmin: int, kmax: int,
+          use_b_filter: bool = True) -> list[Semigroup]:
+    """S' \\ A for every irreducible S' in irr and every removal set A of
+    S' with kmin <= |A| <= kmax, walking the removal sets of each S' once.
+    The b-filter skips an S' with fewer than kmin generators in (F/2, F),
+    which has no removal set that large."""
+    out = []
+    for Sp in irr:
+        if use_b_filter and b_count(Sp) < kmin:
+            continue
+        out += [_remove(Sp, A) for A in _removal_sets(Sp, kmax) if len(A) >= kmin]
+    return out
+
+
 def as_with_type(F: int, t: int, *, use_b_filter: bool = True,
                  _irreducibles: EnumerationResult | None = None) -> EnumerationResult:
     """All almost symmetric semigroups with Frobenius number F and type t.
@@ -92,25 +114,29 @@ def as_with_type(F: int, t: int, *, use_b_filter: bool = True,
         return EnumerationResult.collect((), "ascending", 0)
     irr = _irreducibles if _irreducibles is not None else enumerate_irreducible(F)
     k = (t + 1) // 2 - 1
-    out = []
-    for Sp in irr:
-        if use_b_filter and b_count(Sp) < k:
-            continue
-        for A in removal_candidates(Sp, t):
-            out.append(_remove(Sp, A))
-    return EnumerationResult.collect(out, "ascending", k)
+    return EnumerationResult.collect(_scan(irr, k, k, use_b_filter), "ascending", k)
 
 
-def as_all_ascending(F: int) -> EnumerationResult:
-    """All almost symmetric semigroups with Frobenius number F: the union
-    of as_with_type(F, t) over feasible t, computing the irreducibles once.
+def as_all_ascending(F: int, min_type: int = 1,
+                     max_type: int | None = None) -> EnumerationResult:
+    """All almost symmetric semigroups with Frobenius number F and
+    min_type <= type <= max_type (max_type defaults to F), the bounds
+    rounded inward to the parity of F, as in as_down_to_type; empty,
+    without enumerating the irreducibles, when no type is in range.
 
-    Each irreducible is scanned once for removal sets of every size; a set
-    of size k yields a semigroup of type 2k + t(S').
+    The irreducibles are computed once and each is scanned once for
+    removal sets of every size from k(min_type) up to k(max_type); a set
+    of size k yields a semigroup of type 2k + t(S').  With the default
+    bounds this is every AS semigroup with Frobenius number F, and with
+    min_type = max_type = t the same scan as as_with_type(F, t).
     """
-    if F < 1:
-        raise InvalidParameters("F must be >= 1")
-    irr = enumerate_irreducible(F)
-    kmax = (F + 1) // 2 - 1
-    out = [_remove(Sp, A) for Sp in irr for A in _removal_sets(Sp, kmax)]
-    return EnumerationResult.collect(out, "ascending", kmax)
+    if F < 1 or min_type < 1:
+        raise InvalidParameters("F and min_type must be >= 1")
+    lo = min_type + (F - min_type) % 2
+    hi = F if max_type is None else min(max_type, F)
+    hi -= (F - hi) % 2
+    if lo > hi:
+        return EnumerationResult.collect((), "ascending", 0)
+    kmax = (hi + 1) // 2 - 1
+    return EnumerationResult.collect(
+        _scan(enumerate_irreducible(F), (lo + 1) // 2 - 1, kmax), "ascending", kmax)

@@ -2,6 +2,14 @@
 
 Subcommands: info, irreducible, as-ascending, as-descending, oracle, bench.
 Enumerations stream one JSON object per semigroup in canonical gap order.
+Each enumeration mode answers "type >= t" with one library call, t taken
+from --type, else --min-type, else 1 (as-ascending also stops its scan
+at --type); the one type filter, in _emit_result, then keeps
+type == --type or type >= --min-type.  A
+--type or --min-type below 1 is invalid (exit 2) in every mode; a type
+above F, or of the other parity from F, is a valid question with an
+empty answer (exit 0).
+
 Exit codes: 0 success, 2 invalid parameters, 3 resource limit,
 4 internal invariant failure.  A reader that closes stdout early (as
 `almostsym as-descending --frobenius 30 | head -1` does) ends the run
@@ -18,8 +26,7 @@ from itertools import islice
 from .core import (TABLE_BYTES, EnumerationResult, InvalidParameters,
                    LimitExceeded, Semigroup, _bits, compute_stats, from_gaps,
                    from_generators)
-from .ascending import as_all_ascending, as_with_type
-from .classify import as_exists
+from .ascending import as_all_ascending
 from .descending import as_all_descending, as_down_to_type
 from .irreducible import enumerate_irreducible
 from .oracle import oracle_as
@@ -77,7 +84,7 @@ def _emit_result(result: EnumerationResult, args, out) -> None:
     sems = result.semigroups
     if args.type is not None:
         sems = tuple(S for S in sems if compute_stats(S).type_ == args.type)
-    elif getattr(args, "min_type", None) is not None:
+    elif args.min_type is not None:
         sems = tuple(S for S in sems if compute_stats(S).type_ >= args.min_type)
     if args.count_only:
         by_type: dict[int, int] = {}
@@ -117,30 +124,17 @@ def _cmd_enumerate(args, out) -> None:
     mode = args.mode
     if args.dot and mode not in ("irreducible", "as-descending"):
         raise InvalidParameters("--dot is only available for tree modes")
+    if any(t is not None and t < 1 for t in (args.type, args.min_type)):
+        raise InvalidParameters("--type and --min-type must be >= 1")
+    t = args.type if args.type is not None else args.min_type or 1
     if mode == "irreducible":
         result = enumerate_irreducible(F)
     elif mode == "as-ascending":
-        if args.type is not None:
-            result = as_with_type(F, args.type)
-        elif args.min_type is not None:
-            irr = enumerate_irreducible(F)
-            result = EnumerationResult.collect(
-                (S for t in range(args.min_type, F + 1)
-                 if as_exists(F, t)
-                 for S in as_with_type(F, t, _irreducibles=irr)),
-                "ascending", 0)
-        else:
-            result = as_all_ascending(F)
+        result = as_all_ascending(F, t, args.type)
     elif mode == "as-descending":
-        t = args.type if args.type is not None else (args.min_type or 1)
-        t = max(1, min(t, F))
         result = as_down_to_type(F, t, with_edges=args.dot)
     elif mode == "oracle":
-        result = oracle_as(F, args.type)
-        if args.min_type is not None:
-            result = EnumerationResult.collect(
-                (S for S in result if compute_stats(S).type_ >= args.min_type),
-                "oracle", 0)
+        result = oracle_as(F)
     else:  # pragma: no cover
         raise InvalidParameters(f"unknown mode {mode!r}")
     _emit_result(result, args, out)

@@ -144,10 +144,6 @@ class Semigroup:
 
     __contains__ = contains
 
-    def members(self, upto: int) -> Iterator[int]:
-        """Yield the elements of S in [0, upto]."""
-        return (x for x in range(upto + 1) if not self.mask >> x & 1)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Semigroup) and self.mask == other.mask
 
@@ -228,11 +224,6 @@ def from_generators(gens: Iterable[int]) -> Semigroup:
             members |= (members << step) & full
             step <<= 1
     return Semigroup._from_mask(full & ~members)
-
-
-def contains(S: Semigroup, x: int) -> bool:
-    """True iff x is a nonnegative element of S."""
-    return S.contains(x)
 
 
 @dataclass(slots=True)

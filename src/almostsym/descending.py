@@ -21,8 +21,8 @@ from .core import (EnumerationResult, InvalidParameters, Semigroup, Stats,
 def as_down_to_type(F: int, t: int, *, with_edges: bool = False,
                     verify: bool = False) -> EnumerationResult:
     """All AS semigroups with Frobenius number F and type >= t (rounded up
-    to the parity of F), by level-order descent from M(F).  Every result
-    carries its stats, taken from the descent.
+    to the parity of F), by level-order descent from M(F); empty when
+    t > F.  Every result carries its stats, taken from the descent.
 
     verify=True recomputes the stats of every node from its gap mask
     alone and compares them with the descent's, then checks almost
@@ -31,8 +31,10 @@ def as_down_to_type(F: int, t: int, *, with_edges: bool = False,
     """
     if F < 1:
         raise InvalidParameters("F must be >= 1")
-    if t < 1 or t > F:
-        raise InvalidParameters("need 1 <= t <= F")
+    if t < 1:
+        raise InvalidParameters("t must be >= 1")
+    if t > F:
+        return EnumerationResult.collect((), "descending", 0)
     target = t if (F - t) % 2 == 0 else t + 1
 
     # Minimal generators are at most 2F + 1, so msg masks and the member

@@ -3,6 +3,7 @@ import pytest
 from almostsym import (InvalidParameters, as_exists, b_count, compute_stats,
                        from_generators, is_almost_symmetric)
 from almostsym.ascending import as_all_ascending, as_with_type, removal_candidates
+from almostsym.descending import as_down_to_type
 from almostsym.irreducible import enumerate_irreducible
 from almostsym.oracle import oracle_as
 
@@ -47,6 +48,8 @@ def test_as_with_type_invalid():
         as_with_type(0, 1)
     with pytest.raises(InvalidParameters):
         as_with_type(11, 0)
+    with pytest.raises(InvalidParameters):
+        as_all_ascending(11, 0)
 
 
 def test_outputs_are_as_with_requested_invariants():
@@ -93,9 +96,16 @@ def test_as_all_ascending_small():
 
 
 def test_as_all_ascending_is_union_over_types():
+    # "type >= t" checked against two independent answers: the union of
+    # the per-type enumerations, and the descent restricted to type >= t
     for F in range(1, 15):
-        union = set()
-        for t in range(1, F + 1):
-            if as_exists(F, t):
-                union |= as_with_type(F, t).gap_sets()
-        assert as_all_ascending(F).gap_sets() == union
+        by_type = {t: as_with_type(F, t).gap_sets() for t in range(1, F + 1)}
+        for t in range(1, F + 2):
+            union = set().union(*(by_type[u] for u in range(t, F + 1)))
+            assert as_all_ascending(F, t).gap_sets() == union
+            assert union == {S.gaps for S in as_down_to_type(F, t)
+                             if compute_stats(S).type_ >= t}
+            # a bounded range t..u is the union over t..u alone
+            for u in range(t, F + 2):
+                bounded = set().union(*(by_type[v] for v in range(t, min(u, F) + 1)))
+                assert as_all_ascending(F, t, u).gap_sets() == bounded

@@ -14,6 +14,7 @@ import almostsym
 from almostsym import cli, compute_stats, from_gaps, from_generators
 from almostsym.cli import main
 from almostsym.descending import as_all_descending
+from almostsym.irreducible import enumerate_irreducible
 from almostsym.oracle import all_with_frobenius
 
 # the directory holding the package, for CLI runs in a fresh interpreter
@@ -184,6 +185,76 @@ def test_min_type_ascending_enumerates_irreducibles_once(capsys, monkeypatch):
     _, expected, _ = run(capsys, "as-descending", "--frobenius", "15",
                          "--min-type", "5")
     assert out == expected
+
+    # every type question of F's parity, asked of all three enumerators
+    for F in range(15, 21):
+        for flag in ("--type", "--min-type"):
+            for t in range(2 - F % 2, F + 1, 2):
+                argv = ("--frobenius", str(F), flag, str(t))
+                calls.clear()
+                code, out, _ = run(capsys, "as-ascending", *argv)
+                assert code == 0 and calls == [F]
+                assert run(capsys, "as-descending", *argv)[1] == out
+                if F <= 18:
+                    assert run(capsys, "oracle", *argv)[1] == out
+
+
+def test_min_type_ascending_walks_removal_sets_once(capsys, monkeypatch):
+    import almostsym.ascending
+
+    walked = []
+
+    def counted(S, max_size, _walk=almostsym.ascending._removal_sets):
+        walked.append(S.mask)
+        return _walk(S, max_size)
+
+    monkeypatch.setattr(almostsym.ascending, "_removal_sets", counted)
+    code, out, _ = run(capsys, "as-ascending", "--frobenius", "21",
+                       "--min-type", "11")
+    assert code == 0 and out
+    assert len(walked) == len(set(walked))
+    assert len(walked) <= len(enumerate_irreducible(21))
+
+
+def test_type_ascending_walks_only_its_size(capsys, monkeypatch):
+    # --type t walks removal sets up to size k(t) only, and a type that
+    # cannot occur is answered without enumerating the irreducibles
+    import almostsym.ascending
+
+    sizes, calls = [], []
+
+    def counted_sets(S, max_size, _walk=almostsym.ascending._removal_sets):
+        sizes.append(max_size)
+        return _walk(S, max_size)
+
+    def counted_irr(F, _enumerate=almostsym.ascending.enumerate_irreducible):
+        calls.append(F)
+        return _enumerate(F)
+
+    monkeypatch.setattr(almostsym.ascending, "_removal_sets", counted_sets)
+    monkeypatch.setattr(almostsym.ascending, "enumerate_irreducible", counted_irr)
+    code, out, _ = run(capsys, "as-ascending", "--frobenius", "21", "--type", "3")
+    assert code == 0 and out and calls == [21] and set(sizes) == {1}
+    for t in ("4", "23"):
+        calls.clear()
+        assert run(capsys, "as-ascending", "--frobenius", "21", "--count-only",
+                   "--type", t)[:2] == (0, '{"total": 0}\n')
+        assert calls == []
+
+
+# --type or --min-type below 1 is invalid; a type above F, or of the other
+# parity from F, is a question with an empty answer
+@pytest.mark.parametrize("mode", ["irreducible", "as-ascending",
+                                  "as-descending", "oracle"])
+@pytest.mark.parametrize("flags, code, expected", [
+    (["--type", "0"], 2, ""),
+    (["--min-type", "0"], 2, ""),
+    (["--type", "12"], 0, '{"total": 0}\n'),
+    (["--type", "4"], 0, '{"total": 0}\n'),
+], ids=["type-0", "min-type-0", "type-above-F", "type-other-parity"])
+def test_type_out_of_range(capsys, mode, flags, code, expected):
+    assert run(capsys, mode, "--frobenius", "11", "--count-only",
+               *flags)[:2] == (code, expected)
 
 
 def test_min_type_ascending_rejects_bad_frobenius(capsys):

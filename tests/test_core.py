@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from almostsym import (ClosureViolation, EnumerationResult, LimitExceeded,
-                       NotNumerical, Semigroup, compute_stats, contains,
-                       from_gaps, from_generators)
+                       NotNumerical, Semigroup, compute_stats, from_gaps,
+                       from_generators)
 from almostsym.oracle import all_with_frobenius
 
 C11_GAPS = (1, 2, 3, 4, 5, 11)
@@ -16,15 +16,15 @@ def test_from_gaps_empty_is_naturals():
     S = from_gaps([])
     assert S.gaps == ()
     assert S.frobenius == -1
-    assert contains(S, 0) and contains(S, 7)
+    assert 0 in S and 7 in S
 
 
 def test_from_gaps_c11():
     S = from_gaps({1, 2, 3, 4, 5, 11})
     assert S.gaps == C11_GAPS
     for x in (0, 6, 7, 8, 9, 10, 12, 13):
-        assert contains(S, x)
-    assert not contains(S, 11)
+        assert x in S
+    assert 11 not in S
 
 
 def test_from_gaps_closure_violation():
@@ -82,7 +82,9 @@ def test_from_generators_bounded():
 
 
 def test_contains_negative():
-    assert not contains(from_generators({2, 3}), -1)
+    S = from_generators({2, 3})
+    assert not S.contains(-1)
+    assert -1 not in S
 
 
 def test_stats_c11():
@@ -136,7 +138,7 @@ def test_msg_minimality_small():
     for F in range(1, 13):
         for S in all_with_frobenius(F):
             st_ = compute_stats(S)
-            members = [x for x in range(1, 2 * st_.frobenius + 2) if contains(S, x)]
+            members = [x for x in range(1, 2 * st_.frobenius + 2) if x in S]
             sums = {a + b for a, b in itertools.combinations_with_replacement(members, 2)}
             for g in st_.msg:
                 assert g not in sums
@@ -153,8 +155,8 @@ def test_pf_definitional_equivalence_small():
             st_ = compute_stats(S)
             definitional = tuple(
                 x for x in S.gaps
-                if all(contains(S, x + s)
-                       for s in range(1, st_.frobenius + x + 1) if contains(S, s)))
+                if all(x + s in S
+                       for s in range(1, st_.frobenius + x + 1) if s in S))
             assert st_.pf == definitional
 
 
@@ -250,8 +252,8 @@ def test_semigroup_membership_closed(gens):
         return
     S = from_generators(gens)
     F = S.frobenius
-    small = [x for x in range(1, F + 1) if contains(S, x)]
+    small = [x for x in range(1, F + 1) if x in S]
     for a in small:
         for b in small:
             if a + b <= F:
-                assert contains(S, a + b)
+                assert a + b in S
