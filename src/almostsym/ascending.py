@@ -9,10 +9,10 @@ x + y - F outside S' \\ A for every pair x, y in A (pairs include x = y).
 Removing k generators from an irreducible of type t(S') (1 for odd F, 2
 for even F) gives type 2k + t(S'), so "type >= t" means |A| >= k(t) =
 ceil(t/2) - 1, with t rounded up to the parity of F.  Both entry points
-answer through one scan: every irreducible's removal sets are walked
-once, up to the largest size asked for, and the sets of at least the
-smallest size asked for are kept.  A bounded type range min..max costs
-only the removal sets up to size k(max).
+answer through one walk per irreducible, which yields only the removal
+sets with k(min) <= |A| <= k(max): it stops growing a set at size
+k(max), and leaves a branch as soon as the candidates left can no
+longer bring it to k(min).
 """
 
 from __future__ import annotations
@@ -31,14 +31,17 @@ def b_count(S: Semigroup) -> int:
     return sum(1 for x in st.msg if 2 * x > F and x < F)
 
 
-def _removal_sets(S: Semigroup, max_size: int) -> Iterator[tuple[int, ...]]:
-    """All valid removal sets A with |A| <= max_size, in lexicographic
-    order (the empty set first).
+def _removal_sets(S: Semigroup, kmin: int, kmax: int) -> Iterator[tuple[int, ...]]:
+    """The valid removal sets A with kmin <= |A| <= kmax, in
+    lexicographic order (the empty set first).
 
     A is grown in increasing order, so when a candidate z is appended the
     pair sums z + y - F (y in A or y = z) are all smaller than z; if such
     a sum lies in S it must already have been chosen, which makes the
-    incremental check exact: every prefix of a valid set is valid.
+    incremental check exact: every prefix of a valid set is valid.  A
+    branch is entered only while the candidates left can still bring it
+    to kmin elements; at the root this skips an S with fewer than kmin
+    candidates (b_count(S) < kmin) without a step.
     """
     st = compute_stats(S)
     F = st.frobenius
@@ -47,10 +50,12 @@ def _removal_sets(S: Semigroup, max_size: int) -> Iterator[tuple[int, ...]]:
     chosen_set: set[int] = set()
 
     def extend(start: int) -> Iterator[tuple[int, ...]]:
-        yield tuple(chosen)
-        if len(chosen) == max_size:
+        if len(chosen) >= kmin:
+            yield tuple(chosen)
+        if len(chosen) == kmax:
             return
-        for i in range(start, len(cands)):
+        # after cands[i], kmin - len(chosen) - 1 more candidates must remain
+        for i in range(start, len(cands) - max(kmin - len(chosen) - 1, 0)):
             z = cands[i]
             ok = True
             for y in (*chosen, z):
@@ -74,7 +79,7 @@ def removal_candidates(S: Semigroup, t: int) -> list[tuple[int, ...]]:
     if t < 1:
         raise InvalidParameters("t must be >= 1")
     k = (t + 1) // 2 - 1
-    return [A for A in _removal_sets(S, k) if len(A) == k]
+    return list(_removal_sets(S, k, k))
 
 
 def _remove(S: Semigroup, A: tuple[int, ...]) -> Semigroup:
@@ -85,28 +90,19 @@ def _remove(S: Semigroup, A: tuple[int, ...]) -> Semigroup:
     return Semigroup._from_mask(mask)
 
 
-def _scan(irr: EnumerationResult, kmin: int, kmax: int,
-          use_b_filter: bool = True) -> list[Semigroup]:
+def _scan(irr: EnumerationResult, kmin: int, kmax: int) -> list[Semigroup]:
     """S' \\ A for every irreducible S' in irr and every removal set A of
-    S' with kmin <= |A| <= kmax, walking the removal sets of each S' once.
-    The b-filter skips an S' with fewer than kmin generators in (F/2, F),
-    which has no removal set that large."""
-    out = []
-    for Sp in irr:
-        if use_b_filter and b_count(Sp) < kmin:
-            continue
-        out += [_remove(Sp, A) for A in _removal_sets(Sp, kmax) if len(A) >= kmin]
-    return out
+    S' with kmin <= |A| <= kmax, walking the removal sets of each S' once."""
+    return [_remove(Sp, A) for Sp in irr for A in _removal_sets(Sp, kmin, kmax)]
 
 
-def as_with_type(F: int, t: int, *, use_b_filter: bool = True,
+def as_with_type(F: int, t: int, *,
                  _irreducibles: EnumerationResult | None = None) -> EnumerationResult:
     """All almost symmetric semigroups with Frobenius number F and type t.
 
-    Empty when no such semigroup exists (F + t odd, or t > F).  The
-    b-filter restricts attention to irreducibles with at least
-    ceil(t/2) - 1 generators in (F/2, F); it is a lossless pruning and can
-    be disabled for differential testing.
+    Empty when no such semigroup exists (F + t odd, or t > F).  The walk
+    yields only the removal sets of size ceil(t/2) - 1, and passes over
+    an irreducible with fewer candidates than that at once.
     """
     if F < 1 or t < 1:
         raise InvalidParameters("F and t must be >= 1")
@@ -114,7 +110,7 @@ def as_with_type(F: int, t: int, *, use_b_filter: bool = True,
         return EnumerationResult.collect((), "ascending", 0)
     irr = _irreducibles if _irreducibles is not None else enumerate_irreducible(F)
     k = (t + 1) // 2 - 1
-    return EnumerationResult.collect(_scan(irr, k, k, use_b_filter), "ascending", k)
+    return EnumerationResult.collect(_scan(irr, k, k), "ascending", k)
 
 
 def as_all_ascending(F: int, min_type: int = 1,

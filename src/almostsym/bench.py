@@ -39,8 +39,7 @@ class BenchReport:
                 "metadata": dict(self.metadata)}
 
 
-def run_bench(f_list=DEFAULT_F_LIST, algorithms=("ascending", "descending"),
-              oracle_f_max: int = DEFAULT_F_MAX) -> BenchReport:
+def run_bench(f_list=DEFAULT_F_LIST, algorithms=("ascending", "descending")) -> BenchReport:
     """Time each (F, algorithm) pair and check the counts agree per F."""
     f_list = tuple(f_list)
     if not f_list:
@@ -52,7 +51,7 @@ def run_bench(f_list=DEFAULT_F_LIST, algorithms=("ascending", "descending"),
     for F in f_list:
         counts = {}
         for name in algorithms:
-            if name == "oracle" and F > oracle_f_max:
+            if name == "oracle" and F > DEFAULT_F_MAX:
                 continue
             start = time.perf_counter()
             result = _ALGORITHMS[name](F)

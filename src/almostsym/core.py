@@ -5,8 +5,8 @@ integers containing 0 with finite complement.  The complement (the "gaps")
 is a finite set of positive integers and identifies S uniquely.  It is
 held as one integer, the gap mask, with bit x set iff x is a gap:
 equality and hashing compare masks, and the invariants are computed with
-word operations on it.  Semigroups are ordered lexicographically by their
-sorted gap tuples.
+word operations on it.  Enumeration results list semigroups
+lexicographically by their sorted gap tuples (see _canonical_key).
 
 Conventions for the full semigroup S = N (empty gap set): frobenius = -1,
 pf = (), type_ = 0, msg = (1,).
@@ -146,9 +146,6 @@ class Semigroup:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Semigroup) and self.mask == other.mask
-
-    def __lt__(self, other: "Semigroup") -> bool:
-        return self.gaps < other.gaps
 
     def __hash__(self) -> int:
         return hash(self.mask)

@@ -1,14 +1,13 @@
 """Brute-force ground truth for small Frobenius numbers.
 
-Every subset of {1..F-1} is tried as a gap set (together with F itself);
-closure of the complement is checked with the definitional double loop,
-deliberately sharing no logic with core.from_gaps.  Exponential in F:
-guarded by a configurable limit, default 18.
+Every subset of {1..F-1} is tried as a gap set (together with F itself),
+held as a gap mask; closure of the complement is checked with the
+definitional double loop over bit tests, deliberately sharing no logic
+with core.from_gaps.  Nothing is cached: each call scans all 2^(F-1)
+masks.  Exponential in F: guarded by a configurable limit, default 18.
 """
 
 from __future__ import annotations
-
-import functools
 
 from .core import EnumerationResult, InvalidParameters, LimitExceeded, Semigroup, compute_stats
 from .classify import is_almost_symmetric
@@ -16,33 +15,26 @@ from .classify import is_almost_symmetric
 DEFAULT_F_MAX = 18
 
 
-def _scan_range(F: int, lo: int, hi: int) -> list[tuple[int, ...]]:
-    """Gap sets (as sorted tuples) for subset bitmasks in [lo, hi)."""
+def _scan_range(F: int, lo: int, hi: int) -> list[int]:
+    """Gap masks G = sub << 1 | 1 << F of the semigroups among the subset
+    bitmasks sub of {1..F-1} in [lo, hi): G is kept unless some members
+    a <= b with a + b <= F sum to a gap."""
     found = []
-    for mask in range(lo, hi):
-        gaps = {i + 1 for i in range(F - 1) if mask >> i & 1}
-        gaps.add(F)
-        members = [x for x in range(1, F) if x not in gaps]
+    for sub in range(lo, hi):
+        G = sub << 1 | 1 << F
         ok = True
-        for i, a in enumerate(members):
-            if 2 * a > F:
-                break
-            for b in members[i:]:
-                if a + b > F:
-                    break
-                if a + b in gaps:
+        for a in range(1, F // 2 + 1):
+            if G >> a & 1:
+                continue
+            for b in range(a, F - a + 1):
+                if G >> (a + b) & 1 and not G >> b & 1:
                     ok = False
                     break
             if not ok:
                 break
         if ok:
-            found.append(tuple(sorted(gaps)))
+            found.append(G)
     return found
-
-
-@functools.lru_cache(maxsize=None)
-def _all_with_frobenius(F: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(_scan_range(F, 0, 1 << (F - 1))))
 
 
 def all_with_frobenius(F: int, f_max: int = DEFAULT_F_MAX) -> EnumerationResult:
@@ -51,8 +43,8 @@ def all_with_frobenius(F: int, f_max: int = DEFAULT_F_MAX) -> EnumerationResult:
         raise InvalidParameters("F must be >= 1")
     if F > f_max:
         raise LimitExceeded(f"oracle limited to F <= {f_max}")
-    return EnumerationResult.collect((Semigroup(g) for g in _all_with_frobenius(F)),
-                                     "oracle", 0)
+    masks = _scan_range(F, 0, 1 << (F - 1))
+    return EnumerationResult.collect(map(Semigroup._from_mask, masks), "oracle", 0)
 
 
 def oracle_as(F: int, t: int | None = None,

@@ -2,7 +2,8 @@ import pytest
 
 from almostsym import (InvalidParameters, as_exists, b_count, compute_stats,
                        from_generators, is_almost_symmetric)
-from almostsym.ascending import as_all_ascending, as_with_type, removal_candidates
+from almostsym.ascending import (_removal_sets, as_all_ascending, as_with_type,
+                                 removal_candidates)
 from almostsym.descending import as_down_to_type
 from almostsym.irreducible import enumerate_irreducible
 from almostsym.oracle import oracle_as
@@ -71,13 +72,15 @@ def test_matches_oracle():
             assert got == oracle_as(F, t).gap_sets()
 
 
-def test_b_filter_is_lossless():
+def test_kmin_bound_is_lossless():
+    # cutting branches that cannot reach kmin drops no set of size >= kmin
     for F in range(1, 15):
-        irr = enumerate_irreducible(F)
-        for t in range(1, F + 1):
-            with_filter = as_with_type(F, t, _irreducibles=irr)
-            without = as_with_type(F, t, use_b_filter=False, _irreducibles=irr)
-            assert with_filter.gap_sets() == without.gap_sets()
+        for S in enumerate_irreducible(F):
+            every = list(_removal_sets(S, 0, F))
+            for kmin in range(F + 1):
+                for kmax in range(kmin, F + 1):
+                    assert list(_removal_sets(S, kmin, kmax)) == \
+                        [A for A in every if kmin <= len(A) <= kmax]
 
 
 def test_base_types_give_back_irreducibles():

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -169,6 +170,11 @@ def test_determinism_across_threads(capsys):
 def test_min_type_ascending_enumerates_irreducibles_once(capsys, monkeypatch):
     import almostsym.ascending
     import almostsym.cli
+    import almostsym.oracle
+
+    # the oracle answers every type question of one F from one scan
+    monkeypatch.setattr(almostsym.oracle, "all_with_frobenius",
+                        functools.cache(almostsym.oracle.all_with_frobenius))
 
     calls = []
 
@@ -204,9 +210,9 @@ def test_min_type_ascending_walks_removal_sets_once(capsys, monkeypatch):
 
     walked = []
 
-    def counted(S, max_size, _walk=almostsym.ascending._removal_sets):
+    def counted(S, kmin, kmax, _walk=almostsym.ascending._removal_sets):
         walked.append(S.mask)
-        return _walk(S, max_size)
+        return _walk(S, kmin, kmax)
 
     monkeypatch.setattr(almostsym.ascending, "_removal_sets", counted)
     code, out, _ = run(capsys, "as-ascending", "--frobenius", "21",
@@ -223,9 +229,9 @@ def test_type_ascending_walks_only_its_size(capsys, monkeypatch):
 
     sizes, calls = [], []
 
-    def counted_sets(S, max_size, _walk=almostsym.ascending._removal_sets):
-        sizes.append(max_size)
-        return _walk(S, max_size)
+    def counted_sets(S, kmin, kmax, _walk=almostsym.ascending._removal_sets):
+        sizes.append(kmax)
+        return _walk(S, kmin, kmax)
 
     def counted_irr(F, _enumerate=almostsym.ascending.enumerate_irreducible):
         calls.append(F)

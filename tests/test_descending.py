@@ -1,4 +1,7 @@
+import functools
+
 import pytest
+from hypothesis import given, strategies as st
 
 from almostsym import (InvalidParameters, compute_stats, is_almost_symmetric,
                        Semigroup)
@@ -122,6 +125,25 @@ def test_parent_recovery():
             assert edge.parent.gaps in nodes
         # tree: every non-root node has exactly one parent edge
         assert len(result.edges) == len(result) - 1
+
+
+@functools.cache
+def descent_nodes(F):
+    return as_all_descending(F).semigroups
+
+
+@given(st.data())
+def test_parent_recovery_on_random_nodes(data):
+    # adjoining x to a node makes x its multiplicity and drops the type by
+    # 2, so putting the multiplicity back as a gap gives the parent node
+    F = data.draw(st.integers(min_value=5, max_value=30), label="F")
+    nodes = descent_nodes(F)
+    S = data.draw(st.sampled_from([S for S in nodes
+                                   if compute_stats(S).type_ < F]), label="node")
+    st_ = compute_stats(S)
+    parent = Semigroup(S.gaps + (st_.multiplicity,))
+    assert parent in nodes
+    assert compute_stats(parent).type_ == st_.type_ + 2
 
 
 def test_leaves_are_the_irreducibles():

@@ -43,7 +43,7 @@ def test_oracle_as_goldens():
 
 def test_closure_check_agrees_with_from_gaps():
     # the oracle's double loop and core's bit-table must accept the same sets
-    for F in range(1, 13):
+    for F in range(1, 17):
         accepted = all_with_frobenius(F).gap_sets()
         for mask in range(1 << (F - 1)):
             gaps = {i + 1 for i in range(F - 1) if mask >> i & 1} | {F}
