@@ -8,7 +8,7 @@ from .core import InvalidParameters, Semigroup, compute_stats
 def is_symmetric(S: Semigroup) -> bool:
     """True iff PF(S) = {F(S)}.  False for S = N."""
     st = compute_stats(S)
-    return bool(S.gaps) and st.pf == (st.frobenius,)
+    return bool(S.mask) and st.pf == (st.frobenius,)
 
 
 def is_pseudo_symmetric(S: Semigroup) -> bool:
@@ -30,7 +30,7 @@ def is_almost_symmetric(S: Semigroup) -> bool:
     2g = F + t; disagreement between the two definitions is an internal
     error, never a return value.
     """
-    if not S.gaps:
+    if not S.mask:
         return True
     st = compute_stats(S)
     by_subset = set(st.gaps_second) <= set(st.pf)

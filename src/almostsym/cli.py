@@ -10,9 +10,10 @@ type == --type or type >= --min-type.  A
 above F, or of the other parity from F, is a valid question with an
 empty answer (exit 0).
 
-Exit codes: 0 success, 2 invalid parameters, 3 resource limit,
-4 internal invariant failure.  A reader that closes stdout early (as
-`almostsym as-descending --frobenius 30 | head -1` does) ends the run
+Exit codes: 0 success, 2 invalid parameters (or an --out path that
+cannot be opened), 3 resource limit (F above core.INPUT_F_MAX in any
+mode), 4 internal invariant failure.  A reader that closes stdout early
+(`almostsym as-descending --frobenius 30 | head -1`) ends the run
 quietly with exit code 0.
 """
 
@@ -23,11 +24,11 @@ import os
 import sys
 from itertools import islice
 
-from .core import (TABLE_BYTES, EnumerationResult, InvalidParameters,
-                   LimitExceeded, Semigroup, _bits, compute_stats, from_gaps,
-                   from_generators)
+from .core import (INPUT_F_MAX, TABLE_BYTES, EnumerationResult,
+                   InvalidParameters, LimitExceeded, Semigroup, _bits,
+                   compute_stats, from_gaps, from_generators)
 from .ascending import as_all_ascending
-from .descending import as_all_descending, as_down_to_type
+from .descending import as_down_to_type
 from .irreducible import enumerate_irreducible
 from .oracle import oracle_as
 
@@ -70,6 +71,11 @@ def _record(S: Semigroup) -> str:
 _WRITE_BATCH = 256
 
 
+def _check_frobenius(F: int) -> None:
+    if F > INPUT_F_MAX:
+        raise LimitExceeded(f"Frobenius number {F} is above the limit {INPUT_F_MAX}")
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip()]
@@ -105,7 +111,7 @@ def _emit_dot(result: EnumerationResult, out) -> None:
         return "<" + ",".join(map(str, compute_stats(S).msg)) + ">"
 
     print("digraph tree {", file=out)
-    for edge in sorted(result.edges, key=lambda e: (e.parent.gaps, e.x)):
+    for edge in result.edges:
         print(f'  "{label(edge.parent)}" -> "{label(edge.child)}" '
               f'[label="{edge.x}"];', file=out)
     print("}", file=out)
@@ -126,6 +132,7 @@ def _cmd_enumerate(args, out) -> None:
         raise InvalidParameters("--dot is only available for tree modes")
     if any(t is not None and t < 1 for t in (args.type, args.min_type)):
         raise InvalidParameters("--type and --min-type must be >= 1")
+    _check_frobenius(F)
     t = args.type if args.type is not None else args.min_type or 1
     if mode == "irreducible":
         result = enumerate_irreducible(F)
@@ -140,7 +147,7 @@ def _cmd_enumerate(args, out) -> None:
     _emit_result(result, args, out)
 
 
-def _cmd_bench(args, out) -> None:
+def _cmd_bench(args, out, report_file) -> None:
     # imported here: the bench module and its imports would add to the
     # start-up time of every other subcommand
     import json
@@ -149,13 +156,13 @@ def _cmd_bench(args, out) -> None:
 
     f_list = (list(DEFAULT_F_LIST) if args.frobenius_list is None
               else _int_list(args.frobenius_list))
+    _check_frobenius(max(f_list, default=0))
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     report = run_bench(f_list, algorithms)
     print(render_table(report), file=out)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+    if report_file:
+        json.dump(report.to_dict(), report_file, indent=2)
+        report_file.write("\n")
 
 
 _THREADS_HELP = ("accepted for scripts that pass it (must be >= 1); every "
@@ -203,14 +210,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "threads", 1) < 1:
             raise InvalidParameters("--threads must be >= 1")
-        if args.command != "bench" and getattr(args, "out", None):
-            opened = out = open(args.out, "w")
+        if getattr(args, "out", None):
+            try:  # before any work, so that a bad path costs no run
+                opened = open(args.out, "w")
+            except OSError as exc:
+                raise InvalidParameters(f"cannot write --out {args.out}: {exc.strerror}")
         if args.command == "info":
             _cmd_info(args, out)
         elif args.command == "bench":
-            _cmd_bench(args, out)
+            _cmd_bench(args, out, opened)
         else:
-            _cmd_enumerate(args, out)
+            _cmd_enumerate(args, opened or out)
         out.flush()
     except BrokenPipeError:
         # The reader went away.  Point stdout at devnull so that the flush

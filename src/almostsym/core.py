@@ -5,8 +5,8 @@ integers containing 0 with finite complement.  The complement (the "gaps")
 is a finite set of positive integers and identifies S uniquely.  It is
 held as one integer, the gap mask, with bit x set iff x is a gap:
 equality and hashing compare masks, and the invariants are computed with
-word operations on it.  Enumeration results list semigroups
-lexicographically by their sorted gap tuples (see _canonical_key).
+word operations on it.  EnumerationResult.collect alone orders results
+in canonical order (see _canonical_key) and checks them.
 
 Conventions for the full semigroup S = N (empty gap set): frobenius = -1,
 pf = (), type_ = 0, msg = (1,).
@@ -102,11 +102,11 @@ class Semigroup:
     closure of the complement.  Use :func:`from_gaps` for validated
     construction from untrusted input; the enumeration algorithms
     construct directly because closure is guaranteed by the theorems they
-    implement.  The sorted gap tuple `gaps` is built on first read, and
-    :func:`compute_stats` memoizes the invariants on the instance.
+    implement.  The sorted gap tuple `gaps` is read from the mask on each
+    access; :func:`compute_stats` memoizes the invariants on the instance.
     """
 
-    __slots__ = ("mask", "_gaps", "_stats")
+    __slots__ = ("mask", "_stats")
 
     def __init__(self, gaps: Iterable[int] = ()):
         mask = 0
@@ -115,7 +115,6 @@ class Semigroup:
                 raise ValueError("gaps must be positive integers")
             mask |= 1 << g
         self.mask = mask
-        self._gaps = None
         self._stats = None
 
     @classmethod
@@ -124,16 +123,12 @@ class Semigroup:
         # stats, if given, are those of this mask
         self = object.__new__(cls)
         self.mask = mask
-        self._gaps = None
         self._stats = stats
         return self
 
     @property
     def gaps(self) -> tuple[int, ...]:
-        gaps = self._gaps
-        if gaps is None:
-            gaps = self._gaps = _bits(self.mask)
-        return gaps
+        return _bits(self.mask)
 
     @property
     def frobenius(self) -> int:
@@ -315,18 +310,13 @@ class TreeEdge:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Canonically ordered enumeration output.
-
-    collisions is kept for report consumers and is always 0: collect
-    raises on a duplicate, since no enumeration may reach a semigroup by
-    two construction paths.
-    """
+    """Enumeration output, built by collect; depth counts the tree
+    levels below the root."""
 
     semigroups: tuple[Semigroup, ...]
     algorithm: str
     depth: int
     edges: tuple[TreeEdge, ...] = ()
-    collisions: int = 0
 
     def __len__(self) -> int:
         return len(self.semigroups)
@@ -340,13 +330,14 @@ class EnumerationResult:
     @classmethod
     def collect(cls, semigroups: Iterable[Semigroup], algorithm: str,
                 depth: int, edges: Iterable[TreeEdge] = ()) -> "EnumerationResult":
-        """Sort distinct semigroups with one Frobenius number into
-        canonical order.  A duplicate, or a second Frobenius number, is an
-        internal invariant failure and raises RuntimeError."""
+        """Sort distinct semigroups with one Frobenius number, and edges
+        by parent then x, into canonical order.  A duplicate, or a second
+        Frobenius number, is an invariant failure: RuntimeError."""
         raw = list(semigroups)
         if len({S.mask for S in raw}) != len(raw):
             raise RuntimeError(f"{algorithm} enumeration produced a semigroup twice")
         if len({S.frobenius for S in raw}) > 1:
             raise RuntimeError(f"{algorithm} enumeration mixed Frobenius numbers")
         raw.sort(key=_canonical_key)
+        edges = sorted(edges, key=lambda e: (_canonical_key(e.parent), e.x))
         return cls(tuple(raw), algorithm, depth, tuple(edges))

@@ -10,6 +10,10 @@ AS semigroup of type t - 2 exactly when t - 1 <= x <= m(S') - 1 and
 Then PF shrinks by {x, F - x} and the child's multiplicity is x.  The
 child's minimal generators are x and those of S' that are not x plus a
 nonzero member of the child (any new sum involves x).
+
+Parent rule: every node S but M(F) has the one parent S \\ {m(S)}, gap
+mask S.mask | 1 << m(S), since the x adjoined last becomes m(S).  So
+the tree is a function of its nodes.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ def as_down_to_type(F: int, t: int, *, with_edges: bool = False,
     """All AS semigroups with Frobenius number F and type >= t (rounded up
     to the parity of F), by level-order descent from M(F); empty when
     t > F.  Every result carries its stats, taken from the descent.
+    with_edges=True adds the tree edges, derived by the parent rule above.
 
     verify=True recomputes the stats of every node from its gap mask
     alone and compares them with the descent's, then checks almost
@@ -42,11 +47,8 @@ def as_down_to_type(F: int, t: int, *, with_edges: bool = False,
     members = (2 << (2 * F + 1)) - 2
     root = (1 << (F + 1)) - 2  # M(F): gaps = pf = {1..F}, msg = {F+1..2F+1}
     level = [(root, root, members & ~root, F + 1)]
-    all_nodes = list(level)
-    edges: list[tuple[int, int, int]] = []  # (parent gaps mask, child gaps mask, x)
-    cur_type = F
-    depth = 0
-    while cur_type > target:
+    nodes = list(level)
+    for cur_type in range(F, target, -2):
         nxt = []
         append = nxt.append
         # every node of the level has type cur_type, so the candidate
@@ -64,32 +66,30 @@ def as_down_to_type(F: int, t: int, *, with_edges: bool = False,
                 if (pf1 << x) & ga1:
                     continue
                 append((ga1, pf1, (msg & ~((members ^ ga1) << x)) | 1 << x, x))
-                if with_edges:
-                    edges.append((ga, ga1, x))
         if cur_type == F and [node[0] for node in nxt] != [root & ~(1 << (F - 1))]:
             raise RuntimeError("M(F) must have the single child with gaps {1..F} \\ {F-1}")
         level = nxt
-        all_nodes.extend(nxt)
-        cur_type -= 2
-        depth += 1
+        nodes.extend(nxt)
 
-    by_mask = {ga: Semigroup._from_mask(ga, Stats(ga, msg, pf, m))
-               for ga, pf, msg, m in all_nodes}
-    if len(by_mask) != len(all_nodes):
-        raise RuntimeError("descending tree revisited a node")
+    sems = [Semigroup._from_mask(ga, Stats(ga, msg, pf, m))
+            for ga, pf, msg, m in nodes]
     if verify:
-        for S in by_mask.values():
+        for S in sems:
             carried = compute_stats(S)
             st = compute_stats(Semigroup._from_mask(S.mask))
             if st != carried:  # msg, PF, multiplicity or genus
                 raise RuntimeError(f"descending stats {carried} drifted from {st}")
             if 2 * st.genus != st.frobenius + st.type_:
                 raise RuntimeError(f"descending reached {S}, which is not almost symmetric")
-    tree_edges = tuple(
-        TreeEdge(by_mask[p], by_mask[c], x) for p, c, x in edges
-    ) if with_edges else ()
-    return EnumerationResult.collect(by_mask.values(), "descending", depth,
-                                     tree_edges)
+    edges = []
+    if with_edges:  # M(F), the first node, has no parent
+        by_mask = {S.mask: S for S in sems}
+        for S in sems[1:]:
+            m = compute_stats(S).multiplicity
+            if (parent := by_mask.get(S.mask | 1 << m)) is None:
+                raise RuntimeError(f"descending node {S} has no parent in the tree")
+            edges.append(TreeEdge(parent, S, m))
+    return EnumerationResult.collect(sems, "descending", (F - target) // 2, edges)
 
 
 def as_all_descending(F: int, *, with_edges: bool = False,

@@ -4,7 +4,7 @@ Frobenius number, rooted at C(F)."""
 from __future__ import annotations
 
 from .core import (EnumerationResult, InvalidParameters, Semigroup, TreeEdge,
-                   _canonical_key, compute_stats)
+                   compute_stats)
 from .classify import canonical_C
 
 
@@ -35,7 +35,7 @@ def irreducible_children(S: Semigroup, F: int) -> list[TreeEdge]:
 
 def enumerate_irreducible(F: int) -> EnumerationResult:
     """All irreducible numerical semigroups with Frobenius number F,
-    by depth-first traversal from C(F), children in increasing x."""
+    by depth-first traversal from C(F)."""
     if F < 1:
         raise InvalidParameters("F must be >= 1")
     root = canonical_C(F)
@@ -49,12 +49,10 @@ def enumerate_irreducible(F: int) -> EnumerationResult:
         depth = max(depth, d)
         children = irreducible_children(node, F)
         edges.extend(children)
-        # reversed so that DFS visits smaller x first
-        for edge in reversed(children):
+        for edge in children:
             if edge.child.mask in seen:
                 raise RuntimeError(f"irreducible tree revisited {edge.child}")
             seen.add(edge.child.mask)
             found.append(edge.child)
             stack.append((edge.child, d + 1))
-    edges.sort(key=lambda e: (_canonical_key(e.parent), e.x))
     return EnumerationResult.collect(found, "irreducible", depth, edges)

@@ -372,6 +372,11 @@ def run_with_fault(argv, fault):
     # every removal set gives back the irreducible itself: a duplicate
     (4, ["as-ascending", "--frobenius", "11"],
      "almostsym.ascending._remove = lambda S, A: S", b"internal error:"),
+    # an --out path that cannot be opened stops the run before any work
+    (2, ["as-descending", "--frobenius", "5", "--out", "/nonexistent/d/x"], "",
+     b"error: cannot write --out"),
+    (2, ["bench", "--frobenius-list", "5", "--out", "/nonexistent/d/x"], "",
+     b"error: cannot write --out"),
 ])
 def test_exit_code(code, argv, fault, message):
     proc = run_with_fault(argv, fault)
@@ -383,6 +388,20 @@ def test_exit_code(code, argv, fault, message):
 def test_gens_beyond_limit_exit_quickly(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "info", "--gens", "100000,100001")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == "" and "limit" in err
+
+
+@pytest.mark.parametrize("argv", [
+    [mode, "--frobenius", "100001", *flags]
+    for mode in ("irreducible", "as-ascending", "as-descending", "oracle")
+    for flags in ([], ["--type", "3"], ["--type", "100003"], ["--count-only"])
+] + [["bench", "--frobenius-list", "5,100001"]])
+def test_frobenius_beyond_limit_exits_quickly(capsys, argv):
+    # exit 3 in every mode and for every type, before any enumeration
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert out == "" and "limit" in err

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from almostsym import (ClosureViolation, EnumerationResult, LimitExceeded,
                        NotNumerical, Semigroup, compute_stats, from_gaps,
                        from_generators)
+from almostsym.descending import as_all_descending
 from almostsym.oracle import all_with_frobenius
 
 C11_GAPS = (1, 2, 3, 4, 5, 11)
@@ -223,7 +224,18 @@ def test_collect_orders_lexicographically():
     sems = list(all_with_frobenius(12))
     result = EnumerationResult.collect(reversed(sems), "test", 0)
     assert [S.gaps for S in result] == sorted(S.gaps for S in sems)
-    assert result.collisions == 0
+
+
+def test_collect_orders_edges_by_parent_then_x():
+    tree = as_all_descending(12, with_edges=True)
+    edges = list(tree.edges)
+    # the descent of F = 12 has parents with several children, so the
+    # reversed list has equal parents in decreasing x
+    assert len({e.parent for e in edges}) < len(edges)
+    result = EnumerationResult.collect(tree.semigroups, "test", 0,
+                                       reversed(edges))
+    assert [(e.parent.gaps, e.x) for e in result.edges] == \
+        sorted((e.parent.gaps, e.x) for e in edges)
 
 
 @given(st.sets(st.integers(min_value=1, max_value=12), min_size=1))

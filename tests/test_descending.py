@@ -127,6 +127,41 @@ def test_parent_recovery():
         assert len(result.edges) == len(result) - 1
 
 
+def reference_edges(F):
+    """(parent gap mask, child gap mask, x) of every descent edge, recorded
+    in a copy of the level loop as the descent once did, before its edges
+    were derived from the nodes by the parent rule."""
+    members = (2 << (2 * F + 1)) - 2
+    root = (1 << (F + 1)) - 2
+    level = [(root, root, members & ~root, F + 1)]
+    edges = []
+    for cur_type in range(F, 2, -2):  # down to type 3 (F odd) or 4 (F even)
+        nxt = []
+        for ga, pf, msg, m in level:
+            for x in range(cur_type - 1, min(m, F)):
+                ga1 = ga & ~(1 << x)
+                if (ga1 >> x) & ~ga1:
+                    continue
+                pf1 = pf & ~(1 << x) & ~(1 << (F - x))
+                if (pf1 << x) & ga1:
+                    continue
+                nxt.append((ga1, pf1, (msg & ~((members ^ ga1) << x)) | 1 << x, x))
+                edges.append((ga, ga1, x))
+        level = nxt
+    return edges
+
+
+def test_derived_edges_match_recorded_edges():
+    def gaps(mask):
+        return tuple(g for g in range(mask.bit_length()) if mask >> g & 1)
+
+    for F in range(1, 27):
+        expected = sorted(reference_edges(F), key=lambda e: (gaps(e[0]), e[2]))
+        result = as_all_descending(F, with_edges=True)
+        assert [(e.parent.mask, e.child.mask, e.x) for e in result.edges] == expected
+        assert len(expected) == len(result) - 1
+
+
 @functools.cache
 def descent_nodes(F):
     return as_all_descending(F).semigroups
@@ -157,3 +192,16 @@ def test_leaves_are_the_irreducibles():
 def test_agrees_with_ascending():
     for F in list(range(1, 15)) + [20]:
         assert as_all_descending(F).gap_sets() == as_all_ascending(F).gap_sets()
+
+
+def test_missing_parent_is_an_invariant_failure(monkeypatch):
+    Stats = almostsym.descending.Stats
+    node = sum(1 << g for g in (1, 3, 5))  # multiplicity 2, parent {1, 2, 3, 5}
+
+    def carried(ga, msg, pf, m):
+        return Stats(ga, msg, pf, 4 if ga == node else m)
+
+    monkeypatch.setattr(almostsym.descending, "Stats", carried)
+    as_down_to_type(5, 1)  # the nodes alone do not need the parent rule
+    with pytest.raises(RuntimeError, match="no parent"):
+        as_down_to_type(5, 1, with_edges=True)
