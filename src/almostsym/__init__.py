@@ -1,36 +1,42 @@
 """Enumeration of almost symmetric numerical semigroups with prescribed
-Frobenius number and type."""
+Frobenius number and type.
 
-from .core import (ClosureViolation, EnumerationResult, InvalidParameters,
-                   LimitExceeded, NotNumerical, Semigroup, Stats, TreeEdge,
-                   compute_stats, from_gaps, from_generators)
-from .classify import (as_exists, canonical_C, canonical_M, is_almost_symmetric,
-                       is_irreducible, is_pseudo_symmetric, is_symmetric)
-from .irreducible import enumerate_irreducible, irreducible_children
-from .ascending import as_all_ascending, as_with_type, b_count, removal_candidates
-from .descending import as_all_descending, as_down_to_type
-from .oracle import all_with_frobenius, oracle_as
+Importing the package loads none of its modules.  A public name is looked
+up in the module that defines it (_SOURCES) on first access, so a command
+line start compiles and runs only the modules its command uses.
+"""
 
-_BENCH_NAMES = ("BenchReport", "BenchRow", "run_bench", "render_table")
+from importlib import import_module
 
-__all__ = [
-    "ClosureViolation", "NotNumerical", "InvalidParameters", "LimitExceeded",
-    "Semigroup", "Stats", "TreeEdge", "EnumerationResult",
-    "BenchReport", "BenchRow",
-    "from_gaps", "from_generators", "compute_stats",
-    "is_symmetric", "is_pseudo_symmetric", "is_irreducible",
-    "is_almost_symmetric", "canonical_C", "canonical_M", "as_exists",
-    "irreducible_children", "enumerate_irreducible",
-    "b_count", "removal_candidates", "as_with_type", "as_all_ascending",
-    "as_down_to_type", "as_all_descending",
-    "all_with_frobenius", "oracle_as",
-    "run_bench", "render_table",
-]
+# module -> the public names it defines
+_SOURCES = {
+    "core": ("ClosureViolation", "NotNumerical", "InvalidParameters",
+             "LimitExceeded", "Semigroup", "Stats", "TreeEdge",
+             "EnumerationResult", "from_gaps", "from_generators",
+             "compute_stats"),
+    "bench": ("BenchReport", "BenchRow", "run_bench", "render_table"),
+    "classify": ("is_symmetric", "is_pseudo_symmetric", "is_irreducible",
+                 "is_almost_symmetric", "canonical_C", "canonical_M",
+                 "as_exists"),
+    "irreducible": ("irreducible_children", "enumerate_irreducible"),
+    "ascending": ("b_count", "removal_candidates", "as_with_type",
+                  "as_all_ascending"),
+    "descending": ("as_down_to_type", "as_all_descending"),
+    "oracle": ("all_with_frobenius", "oracle_as"),
+}
+_SOURCE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = list(_SOURCE_OF)
 
 
 def __getattr__(name: str):
-    # bench is imported on first use, to keep it out of every CLI start
-    if name in _BENCH_NAMES:
-        from . import bench
-        return getattr(bench, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _SOURCE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -11,15 +11,21 @@ above F, or of the other parity from F, is a valid question with an
 empty answer (exit 0).
 
 Exit codes: 0 success, 2 invalid parameters (or an --out path that
-cannot be opened), 3 resource limit (F above core.INPUT_F_MAX in any
-mode), 4 internal invariant failure.  A reader that closes stdout early
-(`almostsym as-descending --frobenius 30 | head -1`) ends the run
-quietly with exit code 0.
+cannot be written), 3 resource limit (F above core.INPUT_F_MAX in any
+mode, or memory exhausted), 4 internal invariant failure.  A reader
+that closes stdout early (`almostsym as-descending --frobenius 30 |
+head -1`) ends the run quietly with exit code 0.  --out is written to a
+file beside it and moved onto it once the command has completed, so a
+run that fails leaves an existing file as it was.
+
+Each command imports only the modules it runs (see _cmd_enumerate): a
+request is one short process, and its start is most of its time.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from itertools import islice
@@ -27,10 +33,6 @@ from itertools import islice
 from .core import (INPUT_F_MAX, TABLE_BYTES, EnumerationResult,
                    InvalidParameters, LimitExceeded, Semigroup, _bits,
                    compute_stats, from_gaps, from_generators)
-from .ascending import as_all_ascending
-from .descending import as_down_to_type
-from .irreducible import enumerate_irreducible
-from .oracle import oracle_as
 
 
 # _LIST_ROWS[i][v] is the ", "-joined decimal text of the positions of the
@@ -52,7 +54,7 @@ def _list_text(mask: int) -> str:
             [", ".join(str(8 * i + b) for b in range(8) if v >> b & 1)
              for v in range(256)]
             for i in range(len(rows), len(data))]
-    return ", ".join([row[v] for row, v in zip(rows, data) if v])
+    return ", ".join(filter(None, map(list.__getitem__, rows, data)))
 
 
 def _record(S: Semigroup) -> str:
@@ -135,12 +137,16 @@ def _cmd_enumerate(args, out) -> None:
     _check_frobenius(F)
     t = args.type if args.type is not None else args.min_type or 1
     if mode == "irreducible":
+        from .irreducible import enumerate_irreducible
         result = enumerate_irreducible(F)
     elif mode == "as-ascending":
+        from .ascending import as_all_ascending
         result = as_all_ascending(F, t, args.type)
     elif mode == "as-descending":
+        from .descending import as_down_to_type
         result = as_down_to_type(F, t, with_edges=args.dot)
     elif mode == "oracle":
+        from .oracle import oracle_as
         result = oracle_as(F)
     else:  # pragma: no cover
         raise InvalidParameters(f"unknown mode {mode!r}")
@@ -211,8 +217,12 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "threads", 1) < 1:
             raise InvalidParameters("--threads must be >= 1")
         if getattr(args, "out", None):
+            # written beside the target and moved onto it only once the
+            # command has completed: a failed run leaves the target as it was
             try:  # before any work, so that a bad path costs no run
-                opened = open(args.out, "w")
+                if os.path.isdir(args.out):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                opened = open(f"{args.out}.{os.getpid()}.tmp", "w")
             except OSError as exc:
                 raise InvalidParameters(f"cannot write --out {args.out}: {exc.strerror}")
         if args.command == "info":
@@ -222,6 +232,13 @@ def main(argv: list[str] | None = None) -> int:
         else:
             _cmd_enumerate(args, opened or out)
         out.flush()
+        if opened:
+            opened.close()
+            try:
+                os.replace(opened.name, args.out)
+            except OSError as exc:
+                raise InvalidParameters(f"cannot write --out {args.out}: {exc.strerror}")
+            opened = None
     except BrokenPipeError:
         # The reader went away.  Point stdout at devnull so that the flush
         # at interpreter exit cannot fail again (see "Note on SIGPIPE" in
@@ -233,6 +250,10 @@ def main(argv: list[str] | None = None) -> int:
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        # the objects of the failed run are freed by now
+        print("error: out of memory", file=sys.stderr)
+        return 3
     except (InvalidParameters, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -240,8 +261,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     finally:
-        if opened:
+        if opened:  # the command did not complete: drop its output
             opened.close()
+            try:
+                os.remove(opened.name)
+            except OSError:
+                pass
     return 0
 
 

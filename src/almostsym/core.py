@@ -8,15 +8,20 @@ equality and hashing compare masks, and the invariants are computed with
 word operations on it.  EnumerationResult.collect alone orders results
 in canonical order (see _canonical_key) and checks them.
 
+Every command line start imports this module, so it imports only `math`
+and `collections.abc`: Stats, TreeEdge and EnumerationResult are plain
+`__slots__` classes with field-wise `==` and `repr` (see _Fields), not
+dataclasses, whose import and decorators cost more than the rest of the
+module.
+
 Conventions for the full semigroup S = N (empty gap set): frobenius = -1,
 pf = (), type_ = 0, msg = (1,).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from math import gcd
-from typing import Iterable, Iterator
 
 
 class ClosureViolation(ValueError):
@@ -218,8 +223,30 @@ def from_generators(gens: Iterable[int]) -> Semigroup:
     return Semigroup._from_mask(full & ~members)
 
 
-@dataclass(slots=True)
-class Stats:
+class _Fields:
+    """Equality, hash and repr over the fields named in __slots__, in
+    order: two instances are equal iff they are of the same class and
+    their fields are equal."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Stats(_Fields):
     """Derived invariants of a numerical semigroup, held as masks.
 
     gap_mask, msg_mask and pf_mask have bit x set iff x is a gap, a
@@ -229,10 +256,15 @@ class Stats:
     gaps_second is L(S), the remaining gaps.
     """
 
-    gap_mask: int
-    msg_mask: int
-    pf_mask: int
-    multiplicity: int
+    __slots__ = ("gap_mask", "msg_mask", "pf_mask", "multiplicity")
+    __hash__ = None  # fields are assignable, so no hash
+
+    def __init__(self, gap_mask: int, msg_mask: int, pf_mask: int,
+                 multiplicity: int):
+        self.gap_mask = gap_mask
+        self.msg_mask = msg_mask
+        self.pf_mask = pf_mask
+        self.multiplicity = multiplicity
 
     @property
     def frobenius(self) -> int:
@@ -298,25 +330,31 @@ def compute_stats(S: Semigroup) -> Stats:
     return st
 
 
-@dataclass(frozen=True)
-class TreeEdge:
+class TreeEdge(_Fields):
     """A parent -> child edge of an enumeration tree, labeled by the
-    integer x that was moved (replaced generator, or adjoined element)."""
+    integer x that was moved (replaced generator, or adjoined element).
+    Immutable by convention."""
 
-    parent: Semigroup
-    child: Semigroup
-    x: int
+    __slots__ = ("parent", "child", "x")
+
+    def __init__(self, parent: Semigroup, child: Semigroup, x: int):
+        self.parent = parent
+        self.child = child
+        self.x = x
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(_Fields):
     """Enumeration output, built by collect; depth counts the tree
-    levels below the root."""
+    levels below the root.  Immutable by convention."""
 
-    semigroups: tuple[Semigroup, ...]
-    algorithm: str
-    depth: int
-    edges: tuple[TreeEdge, ...] = ()
+    __slots__ = ("semigroups", "algorithm", "depth", "edges")
+
+    def __init__(self, semigroups: tuple[Semigroup, ...], algorithm: str,
+                 depth: int, edges: tuple[TreeEdge, ...] = ()):
+        self.semigroups = semigroups
+        self.algorithm = algorithm
+        self.depth = depth
+        self.edges = edges
 
     def __len__(self) -> int:
         return len(self.semigroups)

@@ -5,11 +5,17 @@ incrementally, as masks.
 
 Adjoining x to an AS semigroup S' with Frobenius F and type t yields an
 AS semigroup of type t - 2 exactly when t - 1 <= x <= m(S') - 1 and
-  (b) for every gap g of the child with g - x > 0, g - x is also a gap;
+  (b) x is a special gap of S': x in PF(S') and 2x in S';
   (c) x + p is a member for every p in PF(S') \\ {x, F - x}.
-Then PF shrinks by {x, F - x} and the child's multiplicity is x.  The
-child's minimal generators are x and those of S' that are not x plus a
-nonzero member of the child (any new sum involves x).
+(b) is the closure of S' u {x}, for any gap x of S' (such an x is a
+"special gap", Rosales & Garcia-Sanchez, Numerical Semigroups, 2009):
+x + s for each nonzero s in S' must lie in S', i.e. x is in PF(S'); 2x
+must lie in S'; and then every kx + s = x + ((k - 1)x + s) does, by
+induction on k.  So the candidates are the bits of PF(S') in
+[t - 1, min(m(S'), F)) whose bit 2x in the gap mask is clear.
+Then PF shrinks by {x, F - x} and the child's multiplicity is x.
+The child's minimal generators are x and those of S' that are not x plus
+a nonzero member of the child (any new sum involves x).
 
 Parent rule: every node S but M(F) has the one parent S \\ {m(S)}, gap
 mask S.mask | 1 << m(S), since the x adjoined last becomes m(S).  So
@@ -56,11 +62,15 @@ def as_down_to_type(F: int, t: int, *, with_edges: bool = False,
         # would change the Frobenius number), so it ends below min(m, F)
         lo = cur_type - 1
         for ga, pf, msg, m in level:
-            for x in range(lo, min(m, F)):
-                ga1 = ga & ~(1 << x)
-                # (b): every child gap g > x must have g - x a gap as well
-                if (ga1 >> x) & ~ga1:
+            # (b): the special gaps x of the parent, PF bits with 2x a member
+            window = (pf & ((1 << min(m, F)) - 1)) >> lo
+            while window:
+                low = window & -window
+                window ^= low
+                x = lo + low.bit_length() - 1
+                if ga >> 2 * x & 1:
                     continue
+                ga1 = ga & ~(1 << x)
                 pf1 = pf & ~(1 << x) & ~(1 << (F - x))
                 # (c): sums pf1 + x must avoid the child gaps (sums > F are members)
                 if (pf1 << x) & ga1:

@@ -169,7 +169,7 @@ def test_determinism_across_threads(capsys):
 
 def test_min_type_ascending_enumerates_irreducibles_once(capsys, monkeypatch):
     import almostsym.ascending
-    import almostsym.cli
+    import almostsym.irreducible
     import almostsym.oracle
 
     # the oracle answers every type question of one F from one scan
@@ -178,11 +178,11 @@ def test_min_type_ascending_enumerates_irreducibles_once(capsys, monkeypatch):
 
     calls = []
 
-    def counted(F, _enumerate=almostsym.cli.enumerate_irreducible):
+    def counted(F, _enumerate=almostsym.irreducible.enumerate_irreducible):
         calls.append(F)
         return _enumerate(F)
 
-    monkeypatch.setattr(almostsym.cli, "enumerate_irreducible", counted)
+    monkeypatch.setattr(almostsym.irreducible, "enumerate_irreducible", counted)
     monkeypatch.setattr(almostsym.ascending, "enumerate_irreducible", counted)
     code, out, _ = run(capsys, "as-ascending", "--frobenius", "15",
                        "--min-type", "5")
@@ -405,3 +405,69 @@ def test_frobenius_beyond_limit_exits_quickly(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert out == "" and "limit" in err
+
+
+def test_failed_run_keeps_out_file(capsys, tmp_path):
+    # --out is written beside the target and moved onto it only when the
+    # command completes: a failed run leaves the old file and no other
+    target = tmp_path / "f.json"
+    target.write_text("keep\n")
+    code, out, _ = run(capsys, "as-descending", "--frobenius", "100001",
+                       "--out", str(target))
+    assert (code, out) == (3, "")
+    assert target.read_text() == "keep\n"
+    assert os.listdir(tmp_path) == ["f.json"]
+
+    _, expected, _ = run(capsys, "as-descending", "--frobenius", "11")
+    assert run(capsys, "as-descending", "--frobenius", "11",
+               "--out", str(target))[:2] == (0, "")
+    assert target.read_text() == expected
+    assert os.listdir(tmp_path) == ["f.json"]
+
+    # a directory cannot be written: exit 2 before any work
+    code, _, err = run(capsys, "as-descending", "--frobenius", "100001",
+                       "--out", str(tmp_path))
+    assert code == 2 and err.startswith("error: cannot write --out")
+    assert os.listdir(tmp_path) == ["f.json"]
+
+
+def test_memory_exhausted_exits_3():
+    # F = 100000 is inside INPUT_F_MAX, and its descent outgrows any memory
+    pytest.importorskip("resource")
+    limit = 128 << 20  # bytes of address space, after the imports
+    script = ("import resource, sys, almostsym.cli, almostsym.descending\n"
+              f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+              "sys.exit(almostsym.cli.main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    proc = subprocess.run([sys.executable, "-c", script, "as-descending",
+                           "--frobenius", "100000", "--count-only"],
+                          env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == b"error: out of memory\n"
+    assert proc.stdout == b""
+
+
+ALGORITHM_MODULES = {f"almostsym.{name}" for name in (
+    "ascending", "descending", "irreducible", "oracle", "classify", "bench")}
+
+
+def modules_after(*argv):
+    """The modules loaded by a fresh interpreter that imports almostsym.cli
+    and, when argv is given, runs that command."""
+    script = ("import sys, almostsym.cli\n"
+              "if sys.argv[1:]:\n"
+              "    assert almostsym.cli.main(sys.argv[1:]) == 0\n"
+              "sys.stderr.write(' '.join(sys.modules))")
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, timeout=120, check=True)
+    return set(proc.stderr.decode().split())
+
+
+def test_start_up_loads_only_what_the_command_runs():
+    loaded = modules_after()
+    assert {"almostsym", "almostsym.core", "almostsym.cli"} <= loaded
+    assert not loaded & (ALGORITHM_MODULES | {"dataclasses", "inspect"})
+
+    loaded = modules_after("as-descending", "--frobenius", "10", "--count-only")
+    assert loaded & ALGORITHM_MODULES == {"almostsym.descending"}

@@ -4,9 +4,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import almostsym
 from almostsym import (ClosureViolation, EnumerationResult, LimitExceeded,
-                       NotNumerical, Semigroup, compute_stats, from_gaps,
-                       from_generators)
+                       NotNumerical, Semigroup, Stats, TreeEdge, compute_stats,
+                       from_gaps, from_generators)
 from almostsym.descending import as_all_descending
 from almostsym.oracle import all_with_frobenius
 
@@ -269,3 +270,38 @@ def test_semigroup_membership_closed(gens):
         for b in small:
             if a + b <= F:
                 assert a + b in S
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from almostsym import *", namespace)
+    for name in almostsym.__all__:
+        assert namespace[name] is getattr(almostsym, name), name
+        assert name in dir(almostsym)
+    assert len(set(almostsym.__all__)) == len(almostsym.__all__) == 32
+    with pytest.raises(AttributeError):
+        almostsym.no_such_name
+
+
+def test_value_classes_compare_hash_and_print_by_field():
+    S, T = from_gaps([1, 2, 3, 5]), from_gaps([1, 3, 5])
+    st_ = compute_stats(S)
+    assert st_ == Stats(0b101110, 0b1011010000, 0b101100, 4)
+    assert st_ != Stats(0b101110, 0b1011010000, 0b101100, 5)
+    assert st_ != (0b101110, 0b1011010000, 0b101100, 4)
+    assert repr(st_) == "Stats(gap_mask=46, msg_mask=720, pf_mask=44, multiplicity=4)"
+    with pytest.raises(TypeError):
+        hash(st_)
+
+    edge = TreeEdge(S, T, 2)
+    twin = TreeEdge(from_gaps(S.gaps), from_gaps(T.gaps), 2)
+    assert edge == twin and hash(edge) == hash(twin) and len({edge, twin}) == 1
+    assert edge != TreeEdge(S, T, 3) and edge != TreeEdge(T, S, 2)
+    assert repr(edge) == ("TreeEdge(parent=Semigroup(gaps=[1, 2, 3, 5]), "
+                          "child=Semigroup(gaps=[1, 3, 5]), x=2)")
+
+    result = EnumerationResult((S,), "test", 1)
+    assert result == EnumerationResult((from_gaps(S.gaps),), "test", 1, ())
+    assert result != EnumerationResult((S,), "test", 0)
+    assert repr(result) == ("EnumerationResult(semigroups=(Semigroup(gaps=[1, 2, 3, 5]),), "
+                            "algorithm='test', depth=1, edges=())")

@@ -127,13 +127,17 @@ def test_parent_recovery():
         assert len(result.edges) == len(result) - 1
 
 
-def reference_edges(F):
-    """(parent gap mask, child gap mask, x) of every descent edge, recorded
-    in a copy of the level loop as the descent once did, before its edges
-    were derived from the nodes by the parent rule."""
+def window_descent(F):
+    """The descent to type 1 or 2 as a copy of the level loop that tried
+    every x of the window [t - 1, min(m, F)) and tested (b) as closure of
+    the child's complement, before candidates were narrowed to special
+    gaps.  Returns the nodes (gap, PF and msg masks, multiplicity) in the
+    order the loop reached them, and every edge (parent gap mask, child
+    gap mask, x) as the descent once recorded it."""
     members = (2 << (2 * F + 1)) - 2
     root = (1 << (F + 1)) - 2
     level = [(root, root, members & ~root, F + 1)]
+    nodes = list(level)
     edges = []
     for cur_type in range(F, 2, -2):  # down to type 3 (F odd) or 4 (F even)
         nxt = []
@@ -148,15 +152,38 @@ def reference_edges(F):
                 nxt.append((ga1, pf1, (msg & ~((members ^ ga1) << x)) | 1 << x, x))
                 edges.append((ga, ga1, x))
         level = nxt
-    return edges
+        nodes.extend(nxt)
+    return nodes, edges
+
+
+def test_special_gap_kernel_matches_window_loop(monkeypatch):
+    # the nodes handed to collect, in the order the descent reached them
+    reached = []
+
+    class Recording(almostsym.descending.EnumerationResult):
+        @classmethod
+        def collect(cls, semigroups, *args):
+            semigroups = list(semigroups)
+            reached.append(semigroups)
+            return super().collect(semigroups, *args)
+
+    monkeypatch.setattr(almostsym.descending, "EnumerationResult", Recording)
+    for F in range(1, 31):
+        expected, _ = window_descent(F)
+        reached.clear()
+        as_all_descending(F, verify=True)
+        st = [compute_stats(S) for S in reached[0]]
+        assert [(s.gap_mask, s.pf_mask, s.msg_mask, s.multiplicity)
+                for s in st] == expected
 
 
 def test_derived_edges_match_recorded_edges():
     def gaps(mask):
         return tuple(g for g in range(mask.bit_length()) if mask >> g & 1)
 
-    for F in range(1, 27):
-        expected = sorted(reference_edges(F), key=lambda e: (gaps(e[0]), e[2]))
+    for F in range(1, 31):
+        _, edges = window_descent(F)
+        expected = sorted(edges, key=lambda e: (gaps(e[0]), e[2]))
         result = as_all_descending(F, with_edges=True)
         assert [(e.parent.mask, e.child.mask, e.x) for e in result.edges] == expected
         assert len(expected) == len(result) - 1
