@@ -14,9 +14,10 @@ Exit codes: 0 success, 2 invalid parameters (or an --out path that
 cannot be written), 3 resource limit (F above core.INPUT_F_MAX in any
 mode, or memory exhausted), 4 internal invariant failure.  A reader
 that closes stdout early (`almostsym as-descending --frobenius 30 |
-head -1`) ends the run quietly with exit code 0.  --out is written to a
-file beside it and moved onto it once the command has completed, so a
-run that fails leaves an existing file as it was.
+head -1`) ends the run quietly with exit code 0.  A new --out file, or
+a regular one, is written to a file beside it and moved onto it once the
+command has completed, so a run that fails leaves an existing file as it
+was (see _open_out for the targets written in place).
 
 Each command imports only the modules it runs (see _cmd_enumerate): a
 request is one short process, and its start is most of its time.
@@ -25,8 +26,8 @@ request is one short process, and its start is most of its time.
 from __future__ import annotations
 
 import argparse
-import errno
 import os
+import stat
 import sys
 from itertools import islice
 
@@ -208,23 +209,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_out(path: str):
+    """Open the --out target before any work; return (file, staging).
+
+    A new path, or a regular file that is neither a symlink nor hard
+    linked, is staged: written to a new file beside it, with its mode,
+    that main moves onto it only once the command has completed.  Any
+    other target (a device such as /dev/null, a symlink, a FIFO, a hard
+    linked file), and a file whose directory admits no new file, is
+    opened and written in place (staging is None): a rename would replace
+    it, not write to it."""
+    try:
+        old = os.lstat(path)
+    except FileNotFoundError:
+        old = None
+    if old is None or (stat.S_ISREG(old.st_mode) and old.st_nlink == 1):
+        staging = f"{path}.{os.getpid()}.tmp"
+        try:
+            fd = os.open(staging, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError:
+            if old is None:
+                raise
+        else:
+            if old is not None:
+                os.fchmod(fd, stat.S_IMODE(old.st_mode))
+            return open(fd, "w"), staging
+    return open(path, "w"), None
+
+
+def _unwritable(path: str, exc: OSError) -> InvalidParameters:
+    return InvalidParameters(f"cannot write --out {path}: {exc.strerror}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = sys.stdout
-    opened = None
+    opened = staging = None
+    out_of_memory = False
     try:
         if getattr(args, "threads", 1) < 1:
             raise InvalidParameters("--threads must be >= 1")
         if getattr(args, "out", None):
-            # written beside the target and moved onto it only once the
-            # command has completed: a failed run leaves the target as it was
             try:  # before any work, so that a bad path costs no run
-                if os.path.isdir(args.out):
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                opened = open(f"{args.out}.{os.getpid()}.tmp", "w")
+                opened, staging = _open_out(args.out)
             except OSError as exc:
-                raise InvalidParameters(f"cannot write --out {args.out}: {exc.strerror}")
+                raise _unwritable(args.out, exc)
         if args.command == "info":
             _cmd_info(args, out)
         elif args.command == "bench":
@@ -233,12 +263,13 @@ def main(argv: list[str] | None = None) -> int:
             _cmd_enumerate(args, opened or out)
         out.flush()
         if opened:
-            opened.close()
             try:
-                os.replace(opened.name, args.out)
+                opened.close()
+                if staging:
+                    os.replace(staging, args.out)
             except OSError as exc:
-                raise InvalidParameters(f"cannot write --out {args.out}: {exc.strerror}")
-            opened = None
+                raise _unwritable(args.out, exc)
+            opened = staging = None
     except BrokenPipeError:
         # The reader went away.  Point stdout at devnull so that the flush
         # at interpreter exit cannot fail again (see "Note on SIGPIPE" in
@@ -251,9 +282,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except MemoryError:
-        # the objects of the failed run are freed by now
-        print("error: out of memory", file=sys.stderr)
-        return 3
+        # reported below: until this clause ends, the traceback it handles
+        # keeps the frames of the failed run, and their memory, alive
+        out_of_memory = True
     except (InvalidParameters, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -261,12 +292,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     finally:
-        if opened:  # the command did not complete: drop its output
+        if opened:  # the command did not complete
             opened.close()
+        if staging:  # ... so its output is dropped
             try:
-                os.remove(opened.name)
+                os.remove(staging)
             except OSError:
                 pass
+    if out_of_memory:
+        print("error: out of memory", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -431,6 +431,37 @@ def test_failed_run_keeps_out_file(capsys, tmp_path):
     assert os.listdir(tmp_path) == ["f.json"]
 
 
+def test_out_written_in_place_when_a_rename_would_replace_it(capsys, tmp_path):
+    # a device, a symlink and a hard linked file are written through, not
+    # replaced; a staged regular file keeps its mode
+    _, expected, _ = run(capsys, "as-descending", "--frobenius", "11")
+    assert run(capsys, "as-descending", "--frobenius", "11",
+               "--out", os.devnull)[:2] == (0, "")
+    assert not os.path.isfile(os.devnull)
+
+    target = tmp_path / "real.json"
+    target.write_text("keep\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    hard = tmp_path / "hard.json"
+    os.link(target, hard)
+    for name in (link, hard):
+        target.write_text("keep\n")
+        assert run(capsys, "as-descending", "--frobenius", "11",
+                   "--out", str(name))[:2] == (0, "")
+        assert target.read_text() == expected
+    assert link.is_symlink() and os.path.samefile(hard, target)
+
+    os.remove(hard)
+    target.write_text("keep\n")
+    assert run(capsys, "as-descending", "--frobenius", "11",
+               "--out", str(target))[:2] == (0, "")
+    assert target.read_text() == expected
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json"]
+
+
 def test_memory_exhausted_exits_3():
     # F = 100000 is inside INPUT_F_MAX, and its descent outgrows any memory
     pytest.importorskip("resource")
