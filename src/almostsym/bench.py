@@ -42,8 +42,11 @@ class BenchReport:
 def run_bench(f_list=DEFAULT_F_LIST, algorithms=("ascending", "descending")) -> BenchReport:
     """Time each (F, algorithm) pair and check the counts agree per F."""
     f_list = tuple(f_list)
+    algorithms = tuple(algorithms)
     if not f_list:
         raise InvalidParameters("empty Frobenius list")
+    if not algorithms:
+        raise InvalidParameters("empty algorithm list")
     for name in algorithms:
         if name not in _ALGORITHMS:
             raise InvalidParameters(f"unknown algorithm {name!r}")

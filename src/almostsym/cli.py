@@ -10,14 +10,13 @@ type == --type or type >= --min-type.  A
 above F, or of the other parity from F, is a valid question with an
 empty answer (exit 0).
 
-Exit codes: 0 success, 2 invalid parameters (or an --out path that
-cannot be written), 3 resource limit (F above core.INPUT_F_MAX in any
+Exit codes: 0 success, 2 invalid parameters or an output (stdout or
+--out) that fails, 3 resource limit (F above core.INPUT_F_MAX in any
 mode, or memory exhausted), 4 internal invariant failure.  A reader
 that closes stdout early (`almostsym as-descending --frobenius 30 |
 head -1`) ends the run quietly with exit code 0.  A new --out file, or
-a regular one, is written to a file beside it and moved onto it once the
-command has completed, so a run that fails leaves an existing file as it
-was (see _open_out for the targets written in place).
+a regular one, is written beside it and moved onto it once the command
+has completed (see _open_out), so a failed run leaves it as it was.
 
 Each command imports only the modules it runs (see _cmd_enumerate): a
 request is one short process, and its start is most of its time.
@@ -31,31 +30,9 @@ import stat
 import sys
 from itertools import islice
 
-from .core import (INPUT_F_MAX, TABLE_BYTES, EnumerationResult,
-                   InvalidParameters, LimitExceeded, Semigroup, _bits,
-                   compute_stats, from_gaps, from_generators)
-
-
-# _LIST_ROWS[i][v] is the ", "-joined decimal text of the positions of the
-# set bits of byte value v at byte i of a mask ("" for v = 0), grown and
-# bounded like core._BYTE_ROWS.
-_LIST_ROWS: list[list[str]] = []
-
-
-def _list_text(mask: int) -> str:
-    """The positions of the set bits of a nonnegative mask, ascending, as
-    the body of a JSON list: "1, 2, 5"."""
-    global _LIST_ROWS
-    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    if len(data) > TABLE_BYTES:
-        return ", ".join(map(str, _bits(mask)))
-    rows = _LIST_ROWS
-    if len(rows) < len(data):
-        rows = _LIST_ROWS = rows + [
-            [", ".join(str(8 * i + b) for b in range(8) if v >> b & 1)
-             for v in range(256)]
-            for i in range(len(rows), len(data))]
-    return ", ".join(filter(None, map(list.__getitem__, rows, data)))
+from .core import (INPUT_F_MAX, EnumerationResult, InvalidParameters,
+                   LimitExceeded, Semigroup, _list_text, compute_stats,
+                   from_gaps, from_generators)
 
 
 def _record(S: Semigroup) -> str:
@@ -146,15 +123,15 @@ def _cmd_enumerate(args, out) -> None:
     elif mode == "as-descending":
         from .descending import as_down_to_type
         result = as_down_to_type(F, t, with_edges=args.dot)
-    elif mode == "oracle":
+    else:
         from .oracle import oracle_as
         result = oracle_as(F)
-    else:  # pragma: no cover
-        raise InvalidParameters(f"unknown mode {mode!r}")
     _emit_result(result, args, out)
 
 
-def _cmd_bench(args, out, report_file) -> None:
+def _cmd_bench(args, report_file) -> str:
+    """Run the bench, write its report to report_file if given, and
+    return its table, which main prints once the report is complete."""
     # imported here: the bench module and its imports would add to the
     # start-up time of every other subcommand
     import json
@@ -166,10 +143,10 @@ def _cmd_bench(args, out, report_file) -> None:
     _check_frobenius(max(f_list, default=0))
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     report = run_bench(f_list, algorithms)
-    print(render_table(report), file=out)
     if report_file:
         json.dump(report.to_dict(), report_file, indent=2)
         report_file.write("\n")
+    return render_table(report)
 
 
 _THREADS_HELP = ("accepted for scripts that pass it (must be >= 1); every "
@@ -237,47 +214,69 @@ def _open_out(path: str):
     return open(path, "w"), None
 
 
-def _unwritable(path: str, exc: OSError) -> InvalidParameters:
-    return InvalidParameters(f"cannot write --out {path}: {exc.strerror}")
+def _drop(opened, staging: str | None) -> None:
+    """Remove the staging file of a command that did not complete and
+    close its --out file, whose buffered output may fail to write again:
+    the run has failed already, so no error here changes its exit code."""
+    try:
+        if staging:
+            os.remove(staging)
+        opened.close()
+    except OSError:
+        pass
+
+
+def _stdout_to_devnull() -> None:
+    """Point stdout at devnull after a write to it failed, so that the
+    flush at interpreter exit cannot fail again (see "Note on SIGPIPE" in
+    the documentation of the signal module)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = sys.stdout
-    opened = staging = None
+    path = getattr(args, "out", None)
+    # the stream that an OSError failed to write: --out, if given, until
+    # it is complete, then stdout
+    stream = f"--out {path}" if path else "stdout"
+    opened = staging = table = None
     out_of_memory = False
     try:
         if getattr(args, "threads", 1) < 1:
             raise InvalidParameters("--threads must be >= 1")
-        if getattr(args, "out", None):
-            try:  # before any work, so that a bad path costs no run
-                opened, staging = _open_out(args.out)
-            except OSError as exc:
-                raise _unwritable(args.out, exc)
+        if path:  # before any work, so that a bad path costs no run
+            opened, staging = _open_out(path)
         if args.command == "info":
             _cmd_info(args, out)
         elif args.command == "bench":
-            _cmd_bench(args, out, opened)
+            table = _cmd_bench(args, opened)
         else:
             _cmd_enumerate(args, opened or out)
-        out.flush()
         if opened:
-            try:
-                opened.close()
-                if staging:
-                    os.replace(staging, args.out)
-            except OSError as exc:
-                raise _unwritable(args.out, exc)
+            opened.close()
+            if staging:
+                os.replace(staging, path)
             opened = staging = None
+        stream = "stdout"
+        if table:
+            print(table, file=out)
+        out.flush()
     except BrokenPipeError:
-        # The reader went away.  Point stdout at devnull so that the flush
-        # at interpreter exit cannot fail again (see "Note on SIGPIPE" in
-        # the documentation of the signal module).
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # the reader went away: the run ends quietly
+        if stream == "stdout":
+            _stdout_to_devnull()
         return 0
+    except OSError as exc:
+        # writing, closing or moving the output failed
+        if stream == "stdout":
+            _stdout_to_devnull()
+        print(f"error: cannot write {stream}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -285,20 +284,15 @@ def main(argv: list[str] | None = None) -> int:
         # reported below: until this clause ends, the traceback it handles
         # keeps the frames of the failed run, and their memory, alive
         out_of_memory = True
-    except (InvalidParameters, ValueError) as exc:
+    except ValueError as exc:  # InvalidParameters and the input errors of core
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     finally:
-        if opened:  # the command did not complete
-            opened.close()
-        if staging:  # ... so its output is dropped
-            try:
-                os.remove(staging)
-            except OSError:
-                pass
+        if opened:  # the command did not complete, so its output is dropped
+            _drop(opened, staging)
     if out_of_memory:
         print("error: out of memory", file=sys.stderr)
         return 3

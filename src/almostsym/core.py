@@ -8,6 +8,9 @@ equality and hashing compare masks, and the invariants are computed with
 word operations on it.  EnumerationResult.collect alone orders results
 in canonical order (see _canonical_key) and checks them.
 
+This module owns every encoding of a mask (_bits, _list_text,
+_canonical_key), each read a byte at a time through a table.
+
 Every command line start imports this module, so it imports only `math`
 and `collections.abc`: Stats, TreeEdge and EnumerationResult are plain
 `__slots__` classes with field-wise `==` and `repr` (see _Fields), not
@@ -50,31 +53,56 @@ class LimitExceeded(ValueError):
 INPUT_F_MAX = 100_000
 
 
-# _BYTE_ROWS[i][v] holds the positions of the set bits of byte value v
-# at byte i of a mask.  Rows are added as wider masks arrive; a longer
-# list replaces the old one whole, so a concurrent reader never sees a
-# row at the wrong index.  Tables like it hold at most TABLE_BYTES rows
-# of 256 entries, which cover the msg masks of every F up to 127; wider
-# masks, from single semigroups given as input, are scanned instead.
-_BYTE_ROWS: list[list[tuple[int, ...]]] = []
+# Tables with one row per byte position of a mask (see _row), grown as
+# wider masks arrive, up to TABLE_BYTES rows: that covers the msg masks of
+# every F up to 127; wider masks, from semigroups given as input, are
+# scanned instead.
+_BIT_ROWS: list[list[tuple[int, ...]]] = []
+_TEXT_ROWS: list[list[str]] = []
 TABLE_BYTES = 32
+
+
+def _row(i: int, empty, add) -> list:
+    """Row i of a table: entry v is made from `empty` by add(cell, p) for
+    each position p of a set bit of byte v at byte i, ascending.  Entries
+    2^b..2^(b+1)-1 are entries 0..2^b-1 with p = 8i + b added."""
+    cells = [empty]
+    for b in range(8):
+        position = 8 * i + b
+        cells += [add(cell, position) for cell in cells]
+    return cells
+
+
+def _grown(rows: list, size: int, empty, add) -> bool:
+    """Grow the table `rows` in place to `size` rows made by _row; False,
+    with `rows` as it was, when `size` is above TABLE_BYTES."""
+    if size > TABLE_BYTES:
+        return False
+    for i in range(len(rows), size):
+        rows.append(_row(i, empty, add))
+    return True
 
 
 def _bits(mask: int) -> tuple[int, ...]:
     """The positions of the set bits of a nonnegative mask, ascending."""
-    global _BYTE_ROWS
     data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    if len(data) > TABLE_BYTES:
+    if len(data) > len(_BIT_ROWS) and not _grown(
+            _BIT_ROWS, len(data), (), lambda cell, p: cell + (p,)):
         return tuple(i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1")
-    rows = _BYTE_ROWS
-    if len(rows) < len(data):
-        rows = _BYTE_ROWS = rows + [
-            [tuple(8 * i + b for b in range(8) if v >> b & 1) for v in range(256)]
-            for i in range(len(rows), len(data))]
     out: list[int] = []
-    for row, v in zip(rows, data):
+    for row, v in zip(_BIT_ROWS, data):
         out += row[v]
     return tuple(out)
+
+
+def _list_text(mask: int) -> str:
+    """The positions of the set bits of a nonnegative mask, ascending, as
+    the body of a JSON list: "1, 2, 5"."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    if len(data) > len(_TEXT_ROWS) and not _grown(
+            _TEXT_ROWS, len(data), "", lambda cell, p: f"{cell}, {p}" if cell else str(p)):
+        return ", ".join(map(str, _bits(mask)))
+    return ", ".join(filter(None, map(list.__getitem__, _TEXT_ROWS, data)))
 
 
 def _reverse(mask: int) -> int:
@@ -83,12 +111,22 @@ def _reverse(mask: int) -> int:
     return int(bin(mask)[:1:-1], 2)
 
 
-def _canonical_key(S: Semigroup) -> int:
+# Entry v is byte v with its bits reversed and complemented: from 255,
+# each set bit b of v clears bit 7 - b.
+_KEY_BYTES = bytes(_row(0, 255, lambda cell, b: cell - (128 >> b)))
+
+
+def _canonical_key(S: Semigroup) -> bytes:
     """Sort key giving lexicographic order of gap tuples among semigroups
-    with one Frobenius number F.  Every such tuple ends in F, so none is a
-    prefix of another, and the first gap where two tuples differ is the
-    highest differing bit of the reversed masks: the smaller tuple has it."""
-    return -_reverse(S.mask)
+    with one Frobenius number F: the gap mask's little-endian bytes, each
+    translated through _KEY_BYTES.  Every such tuple ends in F, so none is
+    a prefix of another, and at the lowest bit p where two masks differ
+    the tuple with gap p is the smaller.  The masks have one byte length,
+    so their keys compare byte by byte from the low end; in the first
+    differing byte, bit p maps to the highest bit where the two entries
+    differ, clear in the entry of the mask with gap p: its key is smaller."""
+    mask = S.mask
+    return mask.to_bytes((mask.bit_length() + 7) // 8, "little").translate(_KEY_BYTES)
 
 
 def _sumset(N: int, bound: int) -> int:

@@ -1,3 +1,4 @@
+import errno
 import functools
 import io
 import json
@@ -362,6 +363,16 @@ def run_with_fault(argv, fault):
                           capture_output=True, timeout=120)
 
 
+NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full")
+STDOUT_ON_DEV_FULL = "import os; os.dup2(os.open('/dev/full', os.O_WRONLY), 1)"
+FAIL_AFTER_OUTPUT = ("emit = almostsym.cli._emit_result\n"
+                     "def emit_then_fail(*args):\n"
+                     "    emit(*args)\n"
+                     "    raise RuntimeError('failed after its output')\n"
+                     "almostsym.cli._emit_result = emit_then_fail")
+
+
 @pytest.mark.parametrize("code, argv, fault, message", [
     (0, ["as-descending", "--frobenius", "11", "--threads", "1"], "", b""),
     (2, ["as-descending", "--frobenius", "11", "--threads", "0"], "",
@@ -377,11 +388,34 @@ def run_with_fault(argv, fault):
      b"error: cannot write --out"),
     (2, ["bench", "--frobenius-list", "5", "--out", "/nonexistent/d/x"], "",
      b"error: cannot write --out"),
+    (2, ["bench", "--frobenius-list", "5", "--algorithms", ","], "",
+     b"error: empty algorithm list"),
+    # an output that fails while being written: /dev/full takes no byte
+    pytest.param(2, ["as-descending", "--frobenius", "20", "--out", "/dev/full"],
+                 "", b"error: cannot write --out /dev/full: ",
+                 marks=NEEDS_DEV_FULL, id="out-dev-full"),
+    pytest.param(2, ["bench", "--frobenius-list", "5", "--out", "/dev/full"],
+                 "", b"error: cannot write --out /dev/full: ",
+                 marks=NEEDS_DEV_FULL, id="bench-out-dev-full"),
+    pytest.param(2, ["as-descending", "--frobenius", "20"], STDOUT_ON_DEV_FULL,
+                 b"error: cannot write stdout: ",
+                 marks=NEEDS_DEV_FULL, id="stdout-dev-full"),
+    # bench writes its report, then its table: the table is what fails
+    pytest.param(2, ["bench", "--frobenius-list", "5", "--out", os.devnull],
+                 STDOUT_ON_DEV_FULL, b"error: cannot write stdout: ",
+                 marks=NEEDS_DEV_FULL, id="bench-stdout-dev-full"),
+    # a run that fails with output still buffered for --out: closing the
+    # file fails again, and the exit code stands
+    pytest.param(4, ["as-descending", "--frobenius", "11", "--count-only",
+                     "--out", "/dev/full"], FAIL_AFTER_OUTPUT,
+                 b"internal error: failed after its output",
+                 marks=NEEDS_DEV_FULL, id="failed-with-output-buffered"),
 ])
 def test_exit_code(code, argv, fault, message):
     proc = run_with_fault(argv, fault)
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith(message)
+    assert b"Traceback" not in proc.stderr
     assert (proc.stdout == b"") == (code != 0)
 
 
@@ -428,6 +462,20 @@ def test_failed_run_keeps_out_file(capsys, tmp_path):
     code, _, err = run(capsys, "as-descending", "--frobenius", "100001",
                        "--out", str(tmp_path))
     assert code == 2 and err.startswith("error: cannot write --out")
+    assert os.listdir(tmp_path) == ["f.json"]
+
+    # a staged file that cannot take the whole answer (4 KiB of about
+    # 20 kB): exit 2, with the old file kept and the staging file removed
+    pytest.importorskip("resource")
+    target.write_text("keep\n")
+    proc = run_with_fault(
+        ["as-descending", "--frobenius", "20", "--out", str(target)],
+        "import resource, signal; signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (f"error: cannot write --out {target}: "
+                           f"{os.strerror(errno.EFBIG)}\n").encode()
+    assert target.read_text() == "keep\n"
     assert os.listdir(tmp_path) == ["f.json"]
 
 

@@ -8,6 +8,7 @@ import almostsym
 from almostsym import (ClosureViolation, EnumerationResult, LimitExceeded,
                        NotNumerical, Semigroup, Stats, TreeEdge, compute_stats,
                        from_gaps, from_generators)
+from almostsym.core import _canonical_key
 from almostsym.descending import as_all_descending
 from almostsym.oracle import all_with_frobenius
 
@@ -222,9 +223,23 @@ def test_collect_rejects_duplicates():
 
 
 def test_collect_orders_lexicographically():
-    sems = list(all_with_frobenius(12))
-    result = EnumerationResult.collect(reversed(sems), "test", 0)
-    assert [S.gaps for S in result] == sorted(S.gaps for S in sems)
+    # F = 7 -> 8 and 15 -> 16 add a byte to the gap masks
+    for F in range(1, 17):
+        sems = list(all_with_frobenius(F))
+        result = EnumerationResult.collect(reversed(sems), "test", 0)
+        assert [S.gaps for S in result] == sorted(S.gaps for S in sems)
+
+
+@given(st.data())
+def test_canonical_key_orders_as_gap_tuples(data):
+    # random gap masks with one top bit F and bit 0 clear; closure plays
+    # no part in the order
+    F = data.draw(st.integers(min_value=1, max_value=300), label="F")
+    lows = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << F) - 1),
+                              min_size=2, max_size=20), label="lows")
+    sems = [Semigroup._from_mask(1 << F | low & ~1) for low in lows]
+    assert [S.gaps for S in sorted(sems, key=_canonical_key)] == \
+        sorted(S.gaps for S in sems)
 
 
 def test_collect_orders_edges_by_parent_then_x():

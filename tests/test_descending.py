@@ -189,6 +189,23 @@ def test_derived_edges_match_recorded_edges():
         assert len(expected) == len(result) - 1
 
 
+def test_buckets_of_one_multiplicity_come_in_parent_order():
+    # canonical order sorts by multiplicity first, largest first, and two
+    # nodes of multiplicity x compare as their parents do: both parents
+    # have the gaps 1..x, and each child drops the same x.  A parent has at
+    # most one child of multiplicity x, so expanding the buckets of one
+    # multiplicity in canonical order yields each bucket already sorted.
+    for F in range(1, 31):
+        nodes = as_all_descending(F).semigroups
+        position = {S.mask: i for i, S in enumerate(nodes)}
+        # (-multiplicity, parent position), with -1 for M(F), which has none
+        keys = []
+        for S in nodes:
+            m = compute_stats(S).multiplicity
+            keys.append((-m, position.get(S.mask | 1 << m, -1)))
+        assert keys == sorted(set(keys))
+
+
 @functools.cache
 def descent_nodes(F):
     return as_all_descending(F).semigroups
