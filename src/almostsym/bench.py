@@ -7,7 +7,7 @@ import platform
 import time
 from dataclasses import dataclass, field, asdict
 
-from .core import InvalidParameters
+from .core import InvalidParameters, LimitExceeded
 from .ascending import as_all_ascending
 from .descending import as_all_descending
 from .oracle import oracle_as, DEFAULT_F_MAX
@@ -40,7 +40,9 @@ class BenchReport:
 
 
 def run_bench(f_list=DEFAULT_F_LIST, algorithms=("ascending", "descending")) -> BenchReport:
-    """Time each (F, algorithm) pair and check the counts agree per F."""
+    """Time each (F, algorithm) pair and check the counts agree per F.
+    The oracle skips every F above its limit; LimitExceeded when that
+    leaves no pair to time."""
     f_list = tuple(f_list)
     algorithms = tuple(algorithms)
     if not f_list:
@@ -63,6 +65,8 @@ def run_bench(f_list=DEFAULT_F_LIST, algorithms=("ascending", "descending")) -> 
             rows.append(BenchRow(F, name, elapsed, len(result)))
         if len(set(counts.values())) > 1:
             raise RuntimeError(f"algorithms disagree at F={F}: {counts}")
+    if not rows:  # the oracle alone, above its limit at every F
+        raise LimitExceeded(f"nothing to time: oracle limited to F <= {DEFAULT_F_MAX}")
     metadata = {
         "machine": platform.platform(),
         "python": platform.python_version(),

@@ -1,18 +1,22 @@
 """Command-line front end.
 
 Subcommands: info, irreducible, as-ascending, as-descending, oracle, bench.
-Enumerations stream one JSON object per semigroup in canonical gap order.
 Each enumeration mode answers "type >= t" with one library call, t taken
 from --type, else --min-type, else 1 (as-ascending also stops its scan
-at --type); the one type filter, in _emit_result, then keeps
-type == --type or type >= --min-type.  A
---type or --min-type below 1 is invalid (exit 2) in every mode; a type
-above F, or of the other parity from F, is a valid question with an
-empty answer (exit 0).
+at --type); the one type filter, in _emit_result, then selects the
+answer: type == --type or type >= --min-type.  A --type or --min-type
+below 1 is invalid (exit 2) in every mode; a type above F, or of the
+other parity from F, is a valid question with an empty answer (exit 0).
+The answer is rendered one way: one JSON object per semigroup in
+canonical gap order, --count-only counts by type, or --dot the tree
+edges into the answer (the two flags exclude each other).  Every line,
+of `info` and the `bench` table too, goes through one batched writer
+(_write).
 
 Exit codes: 0 success, 2 invalid parameters or an output (stdout or
---out) that fails, 3 resource limit (F above core.INPUT_F_MAX in any
-mode, or memory exhausted), 4 internal invariant failure.  A reader
+--out) that fails, stdout closed at start included, 3 resource limit
+(F above core.INPUT_F_MAX in any mode, a bench that has no pair to
+time, or memory exhausted), 4 internal invariant failure.  A reader
 that closes stdout early (`almostsym as-descending --frobenius 30 |
 head -1`) ends the run quietly with exit code 0.  A new --out file, or
 a regular one, is written beside it and moved onto it once the command
@@ -25,10 +29,12 @@ request is one short process, and its start is most of its time.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import stat
 import sys
-from itertools import islice
+from collections import Counter
+from itertools import chain, islice
 
 from .core import (INPUT_F_MAX, EnumerationResult, InvalidParameters,
                    LimitExceeded, Semigroup, _list_text, compute_stats,
@@ -45,8 +51,8 @@ def _record(S: Semigroup) -> str:
             f'"multiplicity": {st.multiplicity}}}')
 
 
-# Records per write.  print() makes two system calls per record when stdout
-# is unbuffered (python -u, PYTHONUNBUFFERED), and a reader on a pipe then
+# Lines per write.  print() makes two system calls per line when stdout is
+# unbuffered (python -u, PYTHONUNBUFFERED), and a reader on a pipe then
 # wakes up for every one of them.
 _WRITE_BATCH = 256
 
@@ -64,37 +70,42 @@ def _int_list(text: str) -> list[int]:
 
 
 def _emit_result(result: EnumerationResult, args, out) -> None:
-    if args.dot:
-        _emit_dot(result, out)
-        return
+    """Select the answer by the one type filter, render it as records, as
+    counts by type, or (--dot) as the tree edges into it, and write it."""
     sems = result.semigroups
     if args.type is not None:
         sems = tuple(S for S in sems if compute_stats(S).type_ == args.type)
     elif args.min_type is not None:
         sems = tuple(S for S in sems if compute_stats(S).type_ >= args.min_type)
-    if args.count_only:
-        by_type: dict[int, int] = {}
-        for S in sems:
-            t = compute_stats(S).type_
-            by_type[t] = by_type.get(t, 0) + 1
-        for t in sorted(by_type):
-            print(f'{{"type": {t}, "count": {by_type[t]}}}', file=out)
-        print(f'{{"total": {len(sems)}}}', file=out)
+    if args.dot:
+        # every node but the root has one edge into it: drawn iff the node
+        # is in the answer
+        answer = {S.mask for S in sems}
+        lines = chain(["digraph tree {"], (
+            f'  "{_dot_label(e.parent)}" -> "{_dot_label(e.child)}" [label="{e.x}"];'
+            for e in result.edges if e.child.mask in answer), ["}"])
+    elif args.count_only:
+        counts = Counter(compute_stats(S).type_ for S in sems)
+        lines = [*(f'{{"type": {t}, "count": {n}}}' for t, n in sorted(counts.items())),
+                 f'{{"total": {len(sems)}}}']
     else:
-        records = map(_record, sems)
-        while batch := list(islice(records, _WRITE_BATCH)):
-            out.write("\n".join(batch) + "\n")
+        lines = map(_record, sems)
+    _write(lines, out)
 
 
-def _emit_dot(result: EnumerationResult, out) -> None:
-    def label(S: Semigroup) -> str:
-        return "<" + ",".join(map(str, compute_stats(S).msg)) + ">"
+def _dot_label(S: Semigroup) -> str:
+    """The DOT label of S: its minimal generators, as in "<3,7>"."""
+    return "<" + _list_text(compute_stats(S).msg_mask).replace(", ", ",") + ">"
 
-    print("digraph tree {", file=out)
-    for edge in result.edges:
-        print(f'  "{label(edge.parent)}" -> "{label(edge.child)}" '
-              f'[label="{edge.x}"];', file=out)
-    print("}", file=out)
+
+def _write(lines, out) -> None:
+    """Write lines to out, _WRITE_BATCH lines per write.  out is None
+    when the command writes to stdout and fd 1 was closed at start."""
+    if out is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    lines = iter(lines)
+    while batch := list(islice(lines, _WRITE_BATCH)):
+        out.write("\n".join(batch) + "\n")
 
 
 def _cmd_info(args, out) -> None:
@@ -102,7 +113,7 @@ def _cmd_info(args, out) -> None:
         S = from_generators(_int_list(args.gens))
     else:
         S = from_gaps(_int_list(args.gaps))
-    print(_record(S), file=out)
+    _write([_record(S)], out)
 
 
 def _cmd_enumerate(args, out) -> None:
@@ -131,7 +142,7 @@ def _cmd_enumerate(args, out) -> None:
 
 def _cmd_bench(args, report_file) -> str:
     """Run the bench, write its report to report_file if given, and
-    return its table, which main prints once the report is complete."""
+    return its table, which main writes once the report is complete."""
     # imported here: the bench module and its imports would add to the
     # start-up time of every other subcommand
     import json
@@ -144,8 +155,7 @@ def _cmd_bench(args, report_file) -> str:
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     report = run_bench(f_list, algorithms)
     if report_file:
-        json.dump(report.to_dict(), report_file, indent=2)
-        report_file.write("\n")
+        _write([json.dumps(report.to_dict(), indent=2)], report_file)
     return render_table(report)
 
 
@@ -171,8 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--frobenius", type=int, required=True)
         p.add_argument("--type", type=int, default=None)
         p.add_argument("--min-type", type=int, default=None, dest="min_type")
-        p.add_argument("--count-only", action="store_true")
-        p.add_argument("--dot", action="store_true")
+        rendering = p.add_mutually_exclusive_group()
+        rendering.add_argument("--count-only", action="store_true")
+        rendering.add_argument("--dot", action="store_true")
         p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
         p.add_argument("--out", default=None)
 
@@ -238,7 +249,7 @@ def _stdout_to_devnull() -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = sys.stdout
+    out = sys.stdout  # None when fd 1 was closed at start
     path = getattr(args, "out", None)
     # the stream that an OSError failed to write: --out, if given, until
     # it is complete, then stdout
@@ -263,8 +274,9 @@ def main(argv: list[str] | None = None) -> int:
             opened = staging = None
         stream = "stdout"
         if table:
-            print(table, file=out)
-        out.flush()
+            _write([table], out)
+        if out is not None:
+            out.flush()
     except BrokenPipeError:
         # the reader went away: the run ends quietly
         if stream == "stdout":
@@ -272,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except OSError as exc:
         # writing, closing or moving the output failed
-        if stream == "stdout":
+        if stream == "stdout" and out is not None:
             _stdout_to_devnull()
         print(f"error: cannot write {stream}: {exc.strerror or exc}",
               file=sys.stderr)

@@ -126,6 +126,36 @@ def test_dot_rejected_for_non_tree_mode(capsys):
     assert code == 2
 
 
+def reference_dot_edge(edge):
+    """The DOT line of a tree edge, each end labeled by its minimal
+    generators joined with ","."""
+    def label(S):
+        return "<" + ",".join(map(str, compute_stats(S).msg)) + ">"
+    return f'  "{label(edge.parent)}" -> "{label(edge.child)}" [label="{edge.x}"];'
+
+
+def test_dot_follows_the_type_filter(capsys):
+    # --dot draws the edge into each node of the request's answer, the
+    # answer that --count-only counts, and no other edge
+    trees = {"irreducible": enumerate_irreducible,
+             "as-descending": functools.partial(as_all_descending, with_edges=True)}
+    for mode, tree in trees.items():
+        for F in range(1, 21):
+            edges = tree(F).edges
+            for flags in [()] + [(flag, str(t)) for t in range(1, F + 2)
+                                 for flag in ("--type", "--min-type")]:
+                argv = (mode, "--frobenius", str(F), *flags)
+                code, counts, _ = run(capsys, *argv, "--count-only")
+                assert code == 0
+                types = {r["type"] for r in map(json.loads, counts.splitlines())
+                         if "type" in r}
+                code, dot, _ = run(capsys, *argv, "--dot")
+                assert code == 0
+                assert dot.splitlines() == ["digraph tree {", *(
+                    reference_dot_edge(e) for e in edges
+                    if compute_stats(e.child).type_ in types), "}"]
+
+
 def test_min_type(capsys):
     code, out, _ = run(capsys, "as-descending", "--frobenius", "11",
                        "--min-type", "7")
@@ -294,15 +324,18 @@ def test_same_output_under_python_O():
     assert outputs[0].count(b"\n") == 103  # AS semigroups with F = 20
 
 
+class CountingWriter(io.StringIO):
+    """An in-memory stdout that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
 def test_records_written_in_batches(monkeypatch):
     # one write per batch of records, not two per record from print()
-    class CountingWriter(io.StringIO):
-        writes = 0
-
-        def write(self, text):
-            self.writes += 1
-            return super().write(text)
-
     out = CountingWriter()
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["as-descending", "--frobenius", "30"]) == 0
@@ -310,6 +343,17 @@ def test_records_written_in_batches(monkeypatch):
     assert len(records) > cli._WRITE_BATCH
     assert out.getvalue() == "".join(line + "\n" for line in records)
     assert out.writes == -(-len(records) // cli._WRITE_BATCH)
+
+
+def test_dot_written_in_batches(monkeypatch):
+    out = CountingWriter()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["as-descending", "--frobenius", "30", "--dot"]) == 0
+    lines = ["digraph tree {", *map(reference_dot_edge,
+                                    as_all_descending(30, with_edges=True).edges), "}"]
+    assert len(lines) > cli._WRITE_BATCH
+    assert out.getvalue() == "".join(line + "\n" for line in lines)
+    assert out.writes == -(-len(lines) // cli._WRITE_BATCH)
 
 
 def test_closed_pipe_ends_quietly():
@@ -410,6 +454,12 @@ FAIL_AFTER_OUTPUT = ("emit = almostsym.cli._emit_result\n"
                      "--out", "/dev/full"], FAIL_AFTER_OUTPUT,
                  b"internal error: failed after its output",
                  marks=NEEDS_DEV_FULL, id="failed-with-output-buffered"),
+    # one rendering per request: the two flags exclude each other
+    pytest.param(2, ["as-descending", "--frobenius", "11", "--count-only",
+                     "--dot"], "", b"usage: ", id="count-only-and-dot"),
+    # every F is above the oracle's limit, so no pair is timed
+    pytest.param(3, ["bench", "--frobenius-list", "20", "--algorithms", "oracle"],
+                 "", b"error: nothing to time", id="bench-times-nothing"),
 ])
 def test_exit_code(code, argv, fault, message):
     proc = run_with_fault(argv, fault)
@@ -417,6 +467,31 @@ def test_exit_code(code, argv, fault, message):
     assert proc.stderr.startswith(message)
     assert b"Traceback" not in proc.stderr
     assert (proc.stdout == b"") == (code != 0)
+
+
+def test_stdout_closed_at_start(capsys, tmp_path):
+    # with fd 1 closed, Python starts with sys.stdout None: a command that
+    # writes to stdout exits 2, one that writes only to --out completes
+    def closed_stdout_run(*argv):
+        proc = cli_process(*argv, cwd=tmp_path, stderr=subprocess.PIPE,
+                           preexec_fn=lambda: os.close(1))
+        _, err = proc.communicate(timeout=120)
+        assert b"Traceback" not in err
+        return proc.returncode, err
+
+    closed = b"error: cannot write stdout: " + os.strerror(errno.EBADF).encode() + b"\n"
+    assert closed_stdout_run("info", "--gens", "3,5") == (2, closed)
+
+    _, expected, _ = run(capsys, "as-descending", "--frobenius", "11")
+    assert closed_stdout_run("as-descending", "--frobenius", "11",
+                             "--out", "f") == (0, b"")
+    assert (tmp_path / "f").read_text() == expected
+
+    # bench writes its report, then its table: the table is what fails
+    assert closed_stdout_run("bench", "--frobenius-list", "5",
+                             "--out", "b") == (2, closed)
+    assert len(json.loads((tmp_path / "b").read_text())["rows"]) == 2
+    assert sorted(os.listdir(tmp_path)) == ["b", "f"]
 
 
 def test_gens_beyond_limit_exit_quickly(capsys):
