@@ -9,9 +9,13 @@ below 1 is invalid (exit 2) in every mode; a type above F, or of the
 other parity from F, is a valid question with an empty answer (exit 0).
 The answer is rendered one way: one JSON object per semigroup in
 canonical gap order, --count-only counts by type, or --dot the tree
-edges into the answer (the two flags exclude each other).  Every line,
-of `info` and the `bench` table too, goes through one batched writer
-(_write).
+edges into the answer (the two flags exclude each other).  The answer
+reaches _emit_result as nodes, mask tuples (see _node), and one
+formatter (_node_record) writes each record from them.  as-descending
+without --dot streams: descending.descend yields its nodes in canonical
+order, and their records are written as they come; every other request
+collects its answer first.  Every line, of `info` and the `bench` table
+too, goes through one batched writer (_write).
 
 Exit codes: 0 success, 2 invalid parameters or an output (stdout or
 --out) that fails, stdout closed at start included, 3 resource limit
@@ -21,6 +25,10 @@ that closes stdout early (`almostsym as-descending --frobenius 30 |
 head -1`) ends the run quietly with exit code 0.  A new --out file, or
 a regular one, is written beside it and moved onto it once the command
 has completed (see _open_out), so a failed run leaves it as it was.
+A streamed as-descending run that fails after its first batch (exit 3
+or 4) leaves on stdout the whole batches written before the failure, a
+prefix of the answer that ends at a line end; any other failed run
+writes nothing to stdout.
 
 Each command imports only the modules it runs (see _cmd_enumerate): a
 request is one short process, and its start is most of its time.
@@ -34,21 +42,32 @@ import os
 import stat
 import sys
 from collections import Counter
-from itertools import chain, islice
+from itertools import chain, islice, starmap
 
-from .core import (INPUT_F_MAX, EnumerationResult, InvalidParameters,
-                   LimitExceeded, Semigroup, _list_text, compute_stats,
-                   from_gaps, from_generators)
+from .core import (INPUT_F_MAX, InvalidParameters, LimitExceeded, Semigroup,
+                   _list_text, compute_stats, from_gaps, from_generators)
+
+
+def _node(S: Semigroup) -> tuple[int, int, int, int]:
+    """S as the descent yields a node: gap, PF and msg masks, multiplicity."""
+    st = compute_stats(S)
+    return S.mask, st.pf_mask, st.msg_mask, st.multiplicity
+
+
+def _node_record(gaps: int, pf: int, msg: int, m: int) -> str:
+    """The JSON record of the semigroup with gap mask `gaps`, PF mask `pf`,
+    msg mask `msg` and multiplicity m, with fields in the fixed order gaps,
+    msg, pf, frobenius, genus, type, multiplicity, as `json.dumps` would
+    write it."""
+    return (f'{{"gaps": [{_list_text(gaps)}], "msg": [{_list_text(msg)}], '
+            f'"pf": [{_list_text(pf)}], "frobenius": {gaps.bit_length() - 1}, '
+            f'"genus": {gaps.bit_count()}, "type": {pf.bit_count()}, '
+            f'"multiplicity": {m}}}')
 
 
 def _record(S: Semigroup) -> str:
-    """The JSON record of S, with fields in the fixed order gaps, msg, pf,
-    frobenius, genus, type, multiplicity, as `json.dumps` would write it."""
-    st = compute_stats(S)
-    return (f'{{"gaps": [{_list_text(S.mask)}], "msg": [{_list_text(st.msg_mask)}], '
-            f'"pf": [{_list_text(st.pf_mask)}], "frobenius": {st.frobenius}, '
-            f'"genus": {st.genus}, "type": {st.type_}, '
-            f'"multiplicity": {st.multiplicity}}}')
+    """The JSON record of S."""
+    return _node_record(*_node(S))
 
 
 # Lines per write.  print() makes two system calls per line when stdout is
@@ -69,27 +88,28 @@ def _int_list(text: str) -> list[int]:
         raise InvalidParameters(f"expected comma-separated integers, got {text!r}")
 
 
-def _emit_result(result: EnumerationResult, args, out) -> None:
-    """Select the answer by the one type filter, render it as records, as
-    counts by type, or (--dot) as the tree edges into it, and write it."""
-    sems = result.semigroups
+def _emit_result(nodes, edges, args, out) -> None:
+    """Select the answer from the nodes (see _node), in canonical order,
+    by the one type filter, render it as records, as counts by type, or
+    (--dot) as the tree edges into it, and write it.  The nodes may be a
+    stream: records are written as they come."""
     if args.type is not None:
-        sems = tuple(S for S in sems if compute_stats(S).type_ == args.type)
+        nodes = (node for node in nodes if node[1].bit_count() == args.type)
     elif args.min_type is not None:
-        sems = tuple(S for S in sems if compute_stats(S).type_ >= args.min_type)
+        nodes = (node for node in nodes if node[1].bit_count() >= args.min_type)
     if args.dot:
         # every node but the root has one edge into it: drawn iff the node
         # is in the answer
-        answer = {S.mask for S in sems}
+        answer = {node[0] for node in nodes}
         lines = chain(["digraph tree {"], (
             f'  "{_dot_label(e.parent)}" -> "{_dot_label(e.child)}" [label="{e.x}"];'
-            for e in result.edges if e.child.mask in answer), ["}"])
+            for e in edges if e.child.mask in answer), ["}"])
     elif args.count_only:
-        counts = Counter(compute_stats(S).type_ for S in sems)
+        counts = Counter(node[1].bit_count() for node in nodes)
         lines = [*(f'{{"type": {t}, "count": {n}}}' for t, n in sorted(counts.items())),
-                 f'{{"total": {len(sems)}}}']
+                 f'{{"total": {sum(counts.values())}}}']
     else:
-        lines = map(_record, sems)
+        lines = starmap(_node_record, nodes)
     _write(lines, out)
 
 
@@ -125,6 +145,11 @@ def _cmd_enumerate(args, out) -> None:
         raise InvalidParameters("--type and --min-type must be >= 1")
     _check_frobenius(F)
     t = args.type if args.type is not None else args.min_type or 1
+    if mode == "as-descending" and not args.dot:
+        # streamed: written in canonical order as the walk reaches it
+        from .descending import descend
+        _emit_result(descend(F, t), (), args, out)
+        return
     if mode == "irreducible":
         from .irreducible import enumerate_irreducible
         result = enumerate_irreducible(F)
@@ -133,11 +158,11 @@ def _cmd_enumerate(args, out) -> None:
         result = as_all_ascending(F, t, args.type)
     elif mode == "as-descending":
         from .descending import as_down_to_type
-        result = as_down_to_type(F, t, with_edges=args.dot)
+        result = as_down_to_type(F, t, with_edges=True)
     else:
         from .oracle import oracle_as
         result = oracle_as(F)
-    _emit_result(result, args, out)
+    _emit_result(map(_node, result.semigroups), result.edges, args, out)
 
 
 def _cmd_bench(args, report_file) -> str:

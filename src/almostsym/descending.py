@@ -20,50 +20,62 @@ a nonzero member of the child (any new sum involves x).
 Parent rule: every node S but M(F) has the one parent S \\ {m(S)}, gap
 mask S.mask | 1 << m(S), since the x adjoined last becomes m(S).  So
 the tree is a function of its nodes.
+
+Canonical order, walked: canonical order (core._canonical_key) is the
+lexicographic order of gap tuples, and it sorts by multiplicity first,
+largest first.  Every gap tuple of a semigroup of multiplicity m starts
+1..m-1, and at index m-1 the semigroup with the larger m has the gap m
+where the other has a larger gap.  A child's multiplicity x is below its
+parent's.  So descend walks buckets of equal multiplicity from F + 1
+down: it yields a bucket's nodes, expanding each into the buckets below,
+and frees the bucket.  No bucket needs a sort.  Two nodes of
+multiplicity x compare as their parents do: both parents have the gaps
+1..x, and each child drops the same x.  Every parent lies in an earlier
+bucket and has at most one child of multiplicity x, so when the buckets
+are expanded in canonical order, each bucket fills in canonical order.
+A semigroup reached twice has one multiplicity both times, so a
+duplicate check per bucket sees every duplicate.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from .core import (EnumerationResult, InvalidParameters, Semigroup, Stats,
                    TreeEdge, compute_stats)
 
 
-def as_down_to_type(F: int, t: int, *, with_edges: bool = False,
-                    verify: bool = False) -> EnumerationResult:
-    """All AS semigroups with Frobenius number F and type >= t (rounded up
-    to the parity of F), by level-order descent from M(F); empty when
-    t > F.  Every result carries its stats, taken from the descent.
-    with_edges=True adds the tree edges, derived by the parent rule above.
-
-    verify=True recomputes the stats of every node from its gap mask
-    alone and compares them with the descent's, then checks almost
-    symmetry, raising RuntimeError on the first mismatch; it is meant for
-    differential testing, not production runs.
-    """
-    if F < 1:
-        raise InvalidParameters("F must be >= 1")
-    if t < 1:
-        raise InvalidParameters("t must be >= 1")
+def descend(F: int, t: int) -> Iterator[tuple[int, int, int, int]]:
+    """Yield the AS semigroups with Frobenius number F and type >= t
+    (rounded up to the parity of F) as descent nodes (gap mask, PF mask,
+    msg mask, multiplicity), in canonical order (see the module
+    docstring); nothing when t > F.  Only the buckets not yet yielded are
+    held.  A semigroup reached twice raises RuntimeError."""
+    if F < 1 or t < 1:
+        raise InvalidParameters("F must be >= 1" if F < 1 else "t must be >= 1")
     if t > F:
-        return EnumerationResult.collect((), "descending", 0)
+        return
     target = t if (F - t) % 2 == 0 else t + 1
 
     # Minimal generators are at most 2F + 1, so msg masks and the member
     # masks that test them need bits 1..2F+1 only.
     members = (2 << (2 * F + 1)) - 2
     root = (1 << (F + 1)) - 2  # M(F): gaps = pf = {1..F}, msg = {F+1..2F+1}
-    level = [(root, root, members & ~root, F + 1)]
-    nodes = list(level)
-    for cur_type in range(F, target, -2):
-        nxt = []
-        append = nxt.append
-        # every node of the level has type cur_type, so the candidate
-        # range starts at the same x; x = F is excluded (adjoining F
-        # would change the Frobenius number), so it ends below min(m, F)
-        lo = cur_type - 1
-        for ga, pf, msg, m in level:
-            # (b): the special gaps x of the parent, PF bits with 2x a member
-            window = (pf & ((1 << min(m, F)) - 1)) >> lo
+    # buckets[x]: the nodes of multiplicity x reached so far
+    buckets = [[] for _ in range(F + 1)] + [[(root, root, members & ~root, F + 1)]]
+    for mult in range(F + 1, 0, -1):
+        bucket = buckets.pop()
+        if len({node[0] for node in bucket}) != len(bucket):
+            raise RuntimeError("descending enumeration produced a semigroup twice")
+        for ga, pf, msg, m in bucket:
+            yield ga, pf, msg, m
+            # a node of type t has the candidates x from t - 1 on; x = F is
+            # excluded (adjoining F would change the Frobenius number), so
+            # they end below min(m, F).  (b): the special gaps x of the
+            # parent, PF bits with 2x a member.  A node of the target type
+            # is a leaf of this walk.
+            lo = pf.bit_count() - 1
+            window = (pf & ((1 << min(m, F)) - 1)) >> lo if lo >= target else 0
             while window:
                 low = window & -window
                 window ^= low
@@ -75,14 +87,26 @@ def as_down_to_type(F: int, t: int, *, with_edges: bool = False,
                 # (c): sums pf1 + x must avoid the child gaps (sums > F are members)
                 if (pf1 << x) & ga1:
                     continue
-                append((ga1, pf1, (msg & ~((members ^ ga1) << x)) | 1 << x, x))
-        if cur_type == F and [node[0] for node in nxt] != [root & ~(1 << (F - 1))]:
+                buckets[x].append((ga1, pf1, (msg & ~((members ^ ga1) << x)) | 1 << x, x))
+        # after M(F)'s bucket, if M(F) was expanded (F > target)
+        if mult > F > target and [node[0] for node in buckets[F - 1]] != [root & ~(1 << (F - 1))]:
             raise RuntimeError("M(F) must have the single child with gaps {1..F} \\ {F-1}")
-        level = nxt
-        nodes.extend(nxt)
 
+
+def as_down_to_type(F: int, t: int, *, with_edges: bool = False,
+                    verify: bool = False) -> EnumerationResult:
+    """All AS semigroups with Frobenius number F and type >= t (rounded up
+    to the parity of F): the nodes of descend(F, t), collected; empty
+    when t > F.  Every result carries its stats, taken from the descent.
+    with_edges=True adds the tree edges, derived by the parent rule above.
+
+    verify=True recomputes the stats of every node from its gap mask
+    alone and compares them with the descent's, then checks almost
+    symmetry, raising RuntimeError on the first mismatch; it is meant for
+    differential testing, not production runs.
+    """
     sems = [Semigroup._from_mask(ga, Stats(ga, msg, pf, m))
-            for ga, pf, msg, m in nodes]
+            for ga, pf, msg, m in descend(F, t)]
     if verify:
         for S in sems:
             carried = compute_stats(S)
@@ -99,7 +123,7 @@ def as_down_to_type(F: int, t: int, *, with_edges: bool = False,
             if (parent := by_mask.get(S.mask | 1 << m)) is None:
                 raise RuntimeError(f"descending node {S} has no parent in the tree")
             edges.append(TreeEdge(parent, S, m))
-    return EnumerationResult.collect(sems, "descending", (F - target) // 2, edges)
+    return EnumerationResult.collect(sems, "descending", max(F - t, 0) // 2, edges)
 
 
 def as_all_descending(F: int, *, with_edges: bool = False,

@@ -1,5 +1,6 @@
 import errno
 import functools
+import inspect
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import given, strategies as st
 import almostsym
 from almostsym import cli, compute_stats, from_gaps, from_generators
 from almostsym.cli import main
-from almostsym.descending import as_all_descending
+from almostsym.descending import as_all_descending, as_down_to_type
 from almostsym.irreducible import enumerate_irreducible
 from almostsym.oracle import all_with_frobenius
 
@@ -354,6 +355,85 @@ def test_dot_written_in_batches(monkeypatch):
     assert len(lines) > cli._WRITE_BATCH
     assert out.getvalue() == "".join(line + "\n" for line in lines)
     assert out.writes == -(-len(lines) // cli._WRITE_BATCH)
+
+
+def test_streamed_descent_writes_the_collected_answer(capsys):
+    # as-descending streams the walk; the other modes collect, then render
+    for F in range(1, 31):
+        def collected(t, keep):
+            return "".join(cli._record(S) + "\n" for S in as_down_to_type(F, t)
+                           if keep(compute_stats(S).type_))
+
+        assert run(capsys, "as-descending", "--frobenius", str(F)) == \
+            (0, collected(1, lambda u: True), "")
+        for t in range(1, F + 2):
+            assert run(capsys, "as-descending", "--frobenius", str(F), "--type",
+                       str(t)) == (0, collected(t, lambda u: u == t), "")
+            assert run(capsys, "as-descending", "--frobenius", str(F), "--min-type",
+                       str(t)) == (0, collected(t, lambda u: u >= t), "")
+        types = sorted(compute_stats(S).type_ for S in as_down_to_type(F, 1))
+        counts = "".join(f'{{"type": {u}, "count": {types.count(u)}}}\n'
+                         for u in sorted(set(types)))
+        assert run(capsys, "as-descending", "--frobenius", str(F), "--count-only") == \
+            (0, counts + f'{{"total": {len(types)}}}\n', "")
+
+
+def test_records_are_written_while_the_walk_runs(monkeypatch):
+    walk = almostsym.descending.descend
+    walked = []
+
+    def watched(F, t):
+        yield from walk(F, t)
+        walked.append(True)
+
+    finished = []  # per write: had the walk ended before it
+
+    class Watching(io.StringIO):
+        def write(self, text):
+            finished.append(bool(walked))
+            return super().write(text)
+
+    monkeypatch.setattr(almostsym.descending, "descend", watched)
+    monkeypatch.setattr(sys, "stdout", Watching())
+    assert main(["as-descending", "--frobenius", "30"]) == 0
+    assert finished[0] is False and finished[-1] is True
+
+
+def duplicating_descend(x):
+    """descend compiled from its source with one fault: each child of
+    multiplicity x goes into its bucket twice."""
+    source = inspect.getsource(almostsym.descending)
+    append = "buckets[x].append("
+    assert source.count(append) == 1
+    source = source.replace(
+        append, f"(buckets[x].append if x != {x} else twice(buckets[x]))(")
+    namespace = {"__name__": "almostsym.descending", "__package__": "almostsym",
+                 "twice": lambda bucket: lambda node: bucket.extend((node, node))}
+    exec(compile(source, almostsym.descending.__file__, "exec"), namespace)
+    return namespace["descend"]
+
+
+def test_failure_mid_stream_leaves_a_line_aligned_prefix(capsys, monkeypatch, tmp_path):
+    # at F = 30 the one semigroup of multiplicity 4 is the last record:
+    # records go out in batches as the walk runs, so stdout keeps the
+    # whole batches written before the walk reaches it; --out is staged
+    # and keeps its old file
+    argv = ["as-descending", "--frobenius", "30"]
+    _, expected, _ = run(capsys, *argv)
+    assert expected.count("\n") > cli._WRITE_BATCH
+    monkeypatch.setattr(almostsym.descending, "descend", duplicating_descend(4))
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert err == "internal error: descending enumeration produced a semigroup twice\n"
+    assert out.endswith("\n") and expected.startswith(out) and out != expected
+    assert out.count("\n") % cli._WRITE_BATCH == 0
+
+    assert run(capsys, *argv, "--count-only")[:2] == (4, "")
+    target = tmp_path / "f.json"
+    target.write_text("keep\n")
+    assert run(capsys, *argv, "--out", str(target))[:2] == (4, "")
+    assert target.read_text() == "keep\n"
+    assert os.listdir(tmp_path) == ["f.json"]
 
 
 def test_closed_pipe_ends_quietly():
