@@ -14,7 +14,7 @@ _SOURCES = {
              "LimitExceeded", "Semigroup", "Stats", "TreeEdge",
              "EnumerationResult", "from_gaps", "from_generators",
              "compute_stats"),
-    "bench": ("BenchReport", "BenchRow", "run_bench", "render_table"),
+    "bench": ("run_bench", "render_table"),
     "classify": ("is_symmetric", "is_pseudo_symmetric", "is_irreducible",
                  "is_almost_symmetric", "canonical_C", "canonical_M",
                  "as_exists"),

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Iterator
 
 from .core import EnumerationResult, InvalidParameters, Semigroup, compute_stats
-from .classify import as_exists
 from .irreducible import enumerate_irreducible
 
 
@@ -90,42 +89,13 @@ def _remove(S: Semigroup, A: tuple[int, ...]) -> Semigroup:
     return Semigroup._from_mask(mask)
 
 
-def _scan(irr: EnumerationResult, kmin: int, kmax: int) -> list[Semigroup]:
-    """S' \\ A for every irreducible S' in irr and every removal set A of
-    S' with kmin <= |A| <= kmax, walking the removal sets of each S' once."""
-    return [_remove(Sp, A) for Sp in irr for A in _removal_sets(Sp, kmin, kmax)]
-
-
-def as_with_type(F: int, t: int, *,
-                 _irreducibles: EnumerationResult | None = None) -> EnumerationResult:
-    """All almost symmetric semigroups with Frobenius number F and type t.
-
-    Empty when no such semigroup exists (F + t odd, or t > F).  The walk
-    yields only the removal sets of size ceil(t/2) - 1, and passes over
-    an irreducible with fewer candidates than that at once.
-    """
-    if F < 1 or t < 1:
-        raise InvalidParameters("F and t must be >= 1")
-    if not as_exists(F, t):
-        return EnumerationResult.collect((), "ascending", 0)
-    irr = _irreducibles if _irreducibles is not None else enumerate_irreducible(F)
-    k = (t + 1) // 2 - 1
-    return EnumerationResult.collect(_scan(irr, k, k), "ascending", k)
-
-
-def as_all_ascending(F: int, min_type: int = 1,
-                     max_type: int | None = None) -> EnumerationResult:
-    """All almost symmetric semigroups with Frobenius number F and
-    min_type <= type <= max_type (max_type defaults to F), the bounds
-    rounded inward to the parity of F, as in as_down_to_type; empty,
-    without enumerating the irreducibles, when no type is in range.
-
-    The irreducibles are computed once and each is scanned once for
-    removal sets of every size from k(min_type) up to k(max_type); a set
-    of size k yields a semigroup of type 2k + t(S').  With the default
-    bounds this is every AS semigroup with Frobenius number F, and with
-    min_type = max_type = t the same scan as as_with_type(F, t).
-    """
+def _ascend(F: int, min_type: int, max_type: int | None,
+            irr: EnumerationResult | None = None) -> EnumerationResult:
+    """S' \\ A for every irreducible S' (irr, else I(F)) and every removal
+    set A of S' whose size gives a type in [min_type, max_type], the
+    bounds rounded inward to the parity of F; empty, without enumerating
+    the irreducibles, when no type is in range.  Each S' is walked once
+    for removal sets of every size from k(min_type) up to k(max_type)."""
     if F < 1 or min_type < 1:
         raise InvalidParameters("F and min_type must be >= 1")
     lo = min_type + (F - min_type) % 2
@@ -133,6 +103,34 @@ def as_all_ascending(F: int, min_type: int = 1,
     hi -= (F - hi) % 2
     if lo > hi:
         return EnumerationResult.collect((), "ascending", 0)
-    kmax = (hi + 1) // 2 - 1
+    if irr is None:
+        irr = enumerate_irreducible(F)
+    kmin, kmax = (lo + 1) // 2 - 1, (hi + 1) // 2 - 1
     return EnumerationResult.collect(
-        _scan(enumerate_irreducible(F), (lo + 1) // 2 - 1, kmax), "ascending", kmax)
+        [_remove(Sp, A) for Sp in irr for A in _removal_sets(Sp, kmin, kmax)],
+        "ascending", kmax)
+
+
+def as_with_type(F: int, t: int, *,
+                 _irreducibles: EnumerationResult | None = None) -> EnumerationResult:
+    """All almost symmetric semigroups with Frobenius number F and type t:
+    as_all_ascending(F, t, t), from the given irreducibles if any.
+
+    Empty when no such semigroup exists (F + t odd, or t > F).  The walk
+    yields only the removal sets of size ceil(t/2) - 1, and passes over
+    an irreducible with fewer candidates than that at once.
+    """
+    return _ascend(F, t, t, _irreducibles)
+
+
+def as_all_ascending(F: int, min_type: int = 1,
+                     max_type: int | None = None) -> EnumerationResult:
+    """All almost symmetric semigroups with Frobenius number F and
+    min_type <= type <= max_type (max_type defaults to F), the bounds
+    rounded inward to the parity of F, as in as_down_to_type.
+
+    With the default bounds this is every AS semigroup with Frobenius
+    number F; a removal set of size k yields a semigroup of type
+    2k + t(S').
+    """
+    return _ascend(F, min_type, max_type)

@@ -1,16 +1,24 @@
-"""Wall-clock comparison of the enumeration algorithms."""
+"""Wall-clock comparison of the enumeration algorithms: the paper's two
+procedures against the brute-force oracle, on one list of Frobenius
+numbers.
+
+The report is the plain JSON object that `bench --out` writes.  Each
+F and each algorithm may appear once in its list (InvalidParameters
+otherwise).  The answers at one F are compared as gap sets, outside the
+timed span.  The oracle's F cap is its own (oracle.DEFAULT_F_MAX): a
+pair the oracle refuses is left out of the report.
+"""
 
 from __future__ import annotations
 
 import datetime
 import platform
 import time
-from dataclasses import dataclass, field, asdict
 
 from .core import InvalidParameters, LimitExceeded
 from .ascending import as_all_ascending
 from .descending import as_all_descending
-from .oracle import oracle_as, DEFAULT_F_MAX
+from .oracle import oracle_as
 
 DEFAULT_F_LIST = (13, 14, 15, 20, 25, 30, 40)
 
@@ -21,28 +29,12 @@ _ALGORITHMS = {
 }
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    frobenius: int
-    algorithm: str
-    seconds: float
-    count: int
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    rows: tuple[BenchRow, ...]
-    metadata: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"rows": [asdict(r) for r in self.rows],
-                "metadata": dict(self.metadata)}
-
-
-def run_bench(f_list=DEFAULT_F_LIST, algorithms=("ascending", "descending")) -> BenchReport:
-    """Time each (F, algorithm) pair and check the counts agree per F.
-    The oracle skips every F above its limit; LimitExceeded when that
-    leaves no pair to time."""
+def run_bench(f_list=DEFAULT_F_LIST, algorithms=("ascending", "descending")) -> dict:
+    """Time each (F, algorithm) pair and return the report: "rows" of
+    frobenius, algorithm, seconds and count, in that order, and
+    "metadata".  A pair whose algorithm raises LimitExceeded is left out;
+    LimitExceeded when that leaves no pair to time, RuntimeError when two
+    answers at one F differ."""
     f_list = tuple(f_list)
     algorithms = tuple(algorithms)
     if not f_list:
@@ -52,50 +44,57 @@ def run_bench(f_list=DEFAULT_F_LIST, algorithms=("ascending", "descending")) -> 
     for name in algorithms:
         if name not in _ALGORITHMS:
             raise InvalidParameters(f"unknown algorithm {name!r}")
+    if len(set(f_list)) < len(f_list):
+        raise InvalidParameters(f"repeated Frobenius number in {list(f_list)}")
+    if len(set(algorithms)) < len(algorithms):
+        raise InvalidParameters(f"repeated algorithm in {list(algorithms)}")
     rows = []
+    refused = None
     for F in f_list:
-        counts = {}
+        expected = None
         for name in algorithms:
-            if name == "oracle" and F > DEFAULT_F_MAX:
-                continue
             start = time.perf_counter()
-            result = _ALGORITHMS[name](F)
+            try:
+                result = _ALGORITHMS[name](F)
+            except LimitExceeded as exc:
+                refused = exc
+                continue
             elapsed = time.perf_counter() - start
-            counts[name] = len(result)
-            rows.append(BenchRow(F, name, elapsed, len(result)))
-        if len(set(counts.values())) > 1:
-            raise RuntimeError(f"algorithms disagree at F={F}: {counts}")
-    if not rows:  # the oracle alone, above its limit at every F
-        raise LimitExceeded(f"nothing to time: oracle limited to F <= {DEFAULT_F_MAX}")
+            rows.append({"frobenius": F, "algorithm": name,
+                         "seconds": elapsed, "count": len(result)})
+            answer = result.gap_sets()
+            if expected is None:
+                expected = name, answer
+            elif answer != expected[1]:
+                raise RuntimeError(f"algorithms disagree at F={F}: "
+                                   f"{expected[0]} and {name}")
+    if not rows:
+        raise LimitExceeded(f"nothing to time: {refused}")
     metadata = {
         "machine": platform.platform(),
         "python": platform.python_version(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    return BenchReport(tuple(rows), metadata)
+    return {"rows": rows, "metadata": metadata}
 
 
-def render_table(report: BenchReport) -> str:
-    """Console table: one column per Frobenius number, one timing row per
-    algorithm, plus a row with the (agreeing) result counts."""
-    f_values = sorted({r.frobenius for r in report.rows})
-    algorithms = []
-    for r in report.rows:
-        if r.algorithm not in algorithms:
-            algorithms.append(r.algorithm)
-    cell = {(r.frobenius, r.algorithm): r for r in report.rows}
+def render_table(report: dict) -> str:
+    """Console table of a run_bench report: one column per Frobenius
+    number, one timing row per algorithm, plus a row with the (agreeing)
+    result counts."""
+    rows = report["rows"]
+    f_values = sorted({r["frobenius"] for r in rows})
+    algorithms = list(dict.fromkeys(r["algorithm"] for r in rows))
+    cell = {(r["frobenius"], r["algorithm"]): r["seconds"] for r in rows}
+    count = {r["frobenius"]: r["count"] for r in rows}
 
     width = 11
     lines = ["Frobenius(S)".ljust(12) + "".join(str(F).rjust(width) for F in f_values)]
     for name in algorithms:
         row = [name.ljust(12)]
         for F in f_values:
-            r = cell.get((F, name))
-            row.append((f"{r.seconds:.3f}" if r else "-").rjust(width))
+            seconds = cell.get((F, name))
+            row.append(("-" if seconds is None else f"{seconds:.3f}").rjust(width))
         lines.append("".join(row))
-    counts = ["count".ljust(12)]
-    for F in f_values:
-        n = next((r.count for r in report.rows if r.frobenius == F), None)
-        counts.append(str(n).rjust(width))
-    lines.append("".join(counts))
+    lines.append("count".ljust(12) + "".join(str(count[F]).rjust(width) for F in f_values))
     return "\n".join(lines)

@@ -180,7 +180,7 @@ def _cmd_bench(args, report_file) -> str:
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     report = run_bench(f_list, algorithms)
     if report_file:
-        _write([json.dumps(report.to_dict(), indent=2)], report_file)
+        _write([json.dumps(report, indent=2)], report_file)
     return render_table(report)
 
 

@@ -4,7 +4,8 @@ Every subset of {1..F-1} is tried as a gap set (together with F itself),
 held as a gap mask; closure of the complement is checked with the
 definitional double loop over bit tests, deliberately sharing no logic
 with core.from_gaps.  Nothing is cached: each call scans all 2^(F-1)
-masks.  Exponential in F: guarded by a configurable limit, default 18.
+masks.  Exponential in F: F is limited to DEFAULT_F_MAX, the one place
+that states the limit (bench leaves out the F the oracle refuses).
 """
 
 from __future__ import annotations
@@ -37,21 +38,21 @@ def _scan_range(F: int, lo: int, hi: int) -> list[int]:
     return found
 
 
-def all_with_frobenius(F: int, f_max: int = DEFAULT_F_MAX) -> EnumerationResult:
-    """Every numerical semigroup with Frobenius number exactly F."""
+def all_with_frobenius(F: int) -> EnumerationResult:
+    """Every numerical semigroup with Frobenius number exactly F; F above
+    DEFAULT_F_MAX raises LimitExceeded."""
     if F < 1:
         raise InvalidParameters("F must be >= 1")
-    if F > f_max:
-        raise LimitExceeded(f"oracle limited to F <= {f_max}")
+    if F > DEFAULT_F_MAX:
+        raise LimitExceeded(f"oracle limited to F <= {DEFAULT_F_MAX}")
     masks = _scan_range(F, 0, 1 << (F - 1))
     return EnumerationResult.collect(map(Semigroup._from_mask, masks), "oracle", 0)
 
 
-def oracle_as(F: int, t: int | None = None,
-              f_max: int = DEFAULT_F_MAX) -> EnumerationResult:
+def oracle_as(F: int, t: int | None = None) -> EnumerationResult:
     """Almost symmetric semigroups with Frobenius number F, optionally
     restricted to type t."""
-    base = all_with_frobenius(F, f_max)
+    base = all_with_frobenius(F)
     sems = [S for S in base if is_almost_symmetric(S)
             and (t is None or compute_stats(S).type_ == t)]
     return EnumerationResult.collect(sems, "oracle", 0)

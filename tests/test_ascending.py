@@ -112,3 +112,21 @@ def test_as_all_ascending_is_union_over_types():
             for u in range(t, F + 2):
                 bounded = set().union(*(by_type[v] for v in range(t, min(u, F) + 1)))
                 assert as_all_ascending(F, t, u).gap_sets() == bounded
+
+
+def test_as_with_type_is_the_one_size_ascending_scan():
+    for F in range(1, 15):
+        for t in range(1, F + 3):
+            assert as_with_type(F, t) == as_all_ascending(F, t, t), (F, t)
+
+
+def test_given_irreducibles_are_not_recomputed(monkeypatch):
+    import almostsym.ascending
+
+    irr = enumerate_irreducible(11)
+
+    def refuse(F):
+        raise AssertionError("enumerate_irreducible called")
+
+    monkeypatch.setattr(almostsym.ascending, "enumerate_irreducible", refuse)
+    assert as_with_type(11, 7, _irreducibles=irr).gap_sets() == A_11_7

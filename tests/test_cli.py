@@ -490,6 +490,13 @@ def run_with_fault(argv, fault):
 NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
                                     reason="no /dev/full")
 STDOUT_ON_DEV_FULL = "import os; os.dup2(os.open('/dev/full', os.O_WRONLY), 1)"
+WRONG_ANSWER_OF_RIGHT_SIZE = (
+    "import almostsym.bench\n"
+    "from almostsym.core import EnumerationResult\n"
+    "from almostsym.oracle import all_with_frobenius\n"
+    "almostsym.bench._ALGORITHMS['descending'] = lambda F: EnumerationResult.collect(\n"
+    "    [S for S in all_with_frobenius(F) if S.gaps != (1, 2, 3, 4, 5)],\n"
+    "    'descending', 0)")
 FAIL_AFTER_OUTPUT = ("emit = almostsym.cli._emit_result\n"
                      "def emit_then_fail(*args):\n"
                      "    emit(*args)\n"
@@ -514,6 +521,17 @@ FAIL_AFTER_OUTPUT = ("emit = almostsym.cli._emit_result\n"
      b"error: cannot write --out"),
     (2, ["bench", "--frobenius-list", "5", "--algorithms", ","], "",
      b"error: empty algorithm list"),
+    # a repeated entry would be timed twice, and the table shows one
+    pytest.param(2, ["bench", "--frobenius-list", "13,13"], "",
+                 b"error: repeated Frobenius number", id="bench-repeated-f"),
+    pytest.param(2, ["bench", "--frobenius-list", "5", "--algorithms",
+                     "ascending,ascending"], "", b"error: repeated algorithm",
+                 id="bench-repeated-algorithm"),
+    # answers of one size that differ: (1,2,4,5) is no AS semigroup and
+    # stands in for (1,2,3,4,5)
+    pytest.param(4, ["bench", "--frobenius-list", "5"], WRONG_ANSWER_OF_RIGHT_SIZE,
+                 b"internal error: algorithms disagree at F=5",
+                 id="bench-answers-differ"),
     # an output that fails while being written: /dev/full takes no byte
     pytest.param(2, ["as-descending", "--frobenius", "20", "--out", "/dev/full"],
                  "", b"error: cannot write --out /dev/full: ",
@@ -705,3 +723,7 @@ def test_start_up_loads_only_what_the_command_runs():
 
     loaded = modules_after("as-descending", "--frobenius", "10", "--count-only")
     assert loaded & ALGORITHM_MODULES == {"almostsym.descending"}
+
+    # the bench keeps plain rows: no dataclasses, and with them no inspect
+    loaded = modules_after("bench", "--frobenius-list", "5")
+    assert not loaded & {"dataclasses", "inspect"}

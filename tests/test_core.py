@@ -293,7 +293,7 @@ def test_every_public_name_resolves():
     for name in almostsym.__all__:
         assert namespace[name] is getattr(almostsym, name), name
         assert name in dir(almostsym)
-    assert len(set(almostsym.__all__)) == len(almostsym.__all__) == 32
+    assert len(set(almostsym.__all__)) == len(almostsym.__all__) == 30
     with pytest.raises(AttributeError):
         almostsym.no_such_name
 
