@@ -10,12 +10,14 @@ other parity from F, is a valid question with an empty answer (exit 0).
 The answer is rendered one way: one JSON object per semigroup in
 canonical gap order, --count-only counts by type, or --dot the tree
 edges into the answer (the two flags exclude each other).  The answer
-reaches _emit_result as nodes, mask tuples (see _node), and one
-formatter (_node_record) writes each record from them.  as-descending
-without --dot streams: descending.descend yields its nodes in canonical
-order, and their records are written as they come; every other request
-collects its answer first.  Every line, of `info` and the `bench` table
-too, goes through one batched writer (_write).
+reaches _emit_result as nodes, mask tuples in the field order of
+core.Stats (gap, msg, PF, multiplicity): the descent's nodes, or the
+Stats of each collected semigroup.  One formatter (_node_record) writes
+each record from them.  as-descending without --dot streams:
+descending.descend yields its nodes in canonical order, and their
+records are written as they come; every other request collects its
+answer first.  Every line, of `info` and the `bench` table too, goes
+through one batched writer (_write).
 
 Exit codes: 0 success, 2 invalid parameters or an output (stdout or
 --out) that fails, stdout closed at start included, 3 resource limit
@@ -48,17 +50,11 @@ from .core import (INPUT_F_MAX, InvalidParameters, LimitExceeded, Semigroup,
                    _list_text, compute_stats, from_gaps, from_generators)
 
 
-def _node(S: Semigroup) -> tuple[int, int, int, int]:
-    """S as the descent yields a node: gap, PF and msg masks, multiplicity."""
-    st = compute_stats(S)
-    return S.mask, st.pf_mask, st.msg_mask, st.multiplicity
-
-
-def _node_record(gaps: int, pf: int, msg: int, m: int) -> str:
-    """The JSON record of the semigroup with gap mask `gaps`, PF mask `pf`,
-    msg mask `msg` and multiplicity m, with fields in the fixed order gaps,
-    msg, pf, frobenius, genus, type, multiplicity, as `json.dumps` would
-    write it."""
+def _node_record(gaps: int, msg: int, pf: int, m: int) -> str:
+    """The JSON record of the semigroup with gap mask `gaps`, msg mask
+    `msg`, PF mask `pf` and multiplicity m, with fields in the fixed order
+    gaps, msg, pf, frobenius, genus, type, multiplicity, as `json.dumps`
+    would write it."""
     return (f'{{"gaps": [{_list_text(gaps)}], "msg": [{_list_text(msg)}], '
             f'"pf": [{_list_text(pf)}], "frobenius": {gaps.bit_length() - 1}, '
             f'"genus": {gaps.bit_count()}, "type": {pf.bit_count()}, '
@@ -67,7 +63,7 @@ def _node_record(gaps: int, pf: int, msg: int, m: int) -> str:
 
 def _record(S: Semigroup) -> str:
     """The JSON record of S."""
-    return _node_record(*_node(S))
+    return _node_record(*compute_stats(S))
 
 
 # Lines per write.  print() makes two system calls per line when stdout is
@@ -89,14 +85,15 @@ def _int_list(text: str) -> list[int]:
 
 
 def _emit_result(nodes, edges, args, out) -> None:
-    """Select the answer from the nodes (see _node), in canonical order,
-    by the one type filter, render it as records, as counts by type, or
-    (--dot) as the tree edges into it, and write it.  The nodes may be a
-    stream: records are written as they come."""
+    """Select the answer from the nodes (gap, msg and PF masks,
+    multiplicity), in canonical order, by the one type filter, render it
+    as records, as counts by type, or (--dot) as the tree edges into it,
+    and write it.  The nodes may be a stream: records are written as they
+    come."""
     if args.type is not None:
-        nodes = (node for node in nodes if node[1].bit_count() == args.type)
+        nodes = (node for node in nodes if node[2].bit_count() == args.type)
     elif args.min_type is not None:
-        nodes = (node for node in nodes if node[1].bit_count() >= args.min_type)
+        nodes = (node for node in nodes if node[2].bit_count() >= args.min_type)
     if args.dot:
         # every node but the root has one edge into it: drawn iff the node
         # is in the answer
@@ -105,7 +102,7 @@ def _emit_result(nodes, edges, args, out) -> None:
             f'  "{_dot_label(e.parent)}" -> "{_dot_label(e.child)}" [label="{e.x}"];'
             for e in edges if e.child.mask in answer), ["}"])
     elif args.count_only:
-        counts = Counter(node[1].bit_count() for node in nodes)
+        counts = Counter(node[2].bit_count() for node in nodes)
         lines = [*(f'{{"type": {t}, "count": {n}}}' for t, n in sorted(counts.items())),
                  f'{{"total": {sum(counts.values())}}}']
     else:
@@ -162,7 +159,7 @@ def _cmd_enumerate(args, out) -> None:
     else:
         from .oracle import oracle_as
         result = oracle_as(F)
-    _emit_result(map(_node, result.semigroups), result.edges, args, out)
+    _emit_result(map(compute_stats, result.semigroups), result.edges, args, out)
 
 
 def _cmd_bench(args, report_file) -> str:

@@ -12,10 +12,10 @@ This module owns every encoding of a mask (_bits, _list_text,
 _canonical_key), each read a byte at a time through a table.
 
 Every command line start imports this module, so it imports only `math`
-and `collections.abc`: Stats, TreeEdge and EnumerationResult are plain
-`__slots__` classes with field-wise `==` and `repr` (see _Fields), not
-dataclasses, whose import and decorators cost more than the rest of the
-module.
+and `collections`: Stats and TreeEdge are named tuples and
+EnumerationResult a `__slots__` class with field-wise `==`, hash and
+`repr`, not dataclasses, whose import and decorators cost more than the
+rest of the module.
 
 Conventions for the full semigroup S = N (empty gap set): frobenius = -1,
 pf = (), type_ = 0, msg = (1,).
@@ -23,6 +23,7 @@ pf = (), type_ = 0, msg = (1,).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from math import gcd
 
@@ -261,31 +262,10 @@ def from_generators(gens: Iterable[int]) -> Semigroup:
     return Semigroup._from_mask(full & ~members)
 
 
-class _Fields:
-    """Equality, hash and repr over the fields named in __slots__, in
-    order: two instances are equal iff they are of the same class and
-    their fields are equal."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-
-class Stats(_Fields):
-    """Derived invariants of a numerical semigroup, held as masks.
+class Stats(namedtuple("Stats", "gap_mask msg_mask pf_mask multiplicity")):
+    """Derived invariants of a numerical semigroup, held as masks: an
+    immutable named tuple (gap_mask, msg_mask, pf_mask, multiplicity), the
+    layout of a descent node (see descending.descend).
 
     gap_mask, msg_mask and pf_mask have bit x set iff x is a gap, a
     minimal generator, or a pseudo-Frobenius number.  The other fields
@@ -294,15 +274,7 @@ class Stats(_Fields):
     gaps_second is L(S), the remaining gaps.
     """
 
-    __slots__ = ("gap_mask", "msg_mask", "pf_mask", "multiplicity")
-    __hash__ = None  # fields are assignable, so no hash
-
-    def __init__(self, gap_mask: int, msg_mask: int, pf_mask: int,
-                 multiplicity: int):
-        self.gap_mask = gap_mask
-        self.msg_mask = msg_mask
-        self.pf_mask = pf_mask
-        self.multiplicity = multiplicity
+    __slots__ = ()
 
     @property
     def frobenius(self) -> int:
@@ -368,22 +340,17 @@ def compute_stats(S: Semigroup) -> Stats:
     return st
 
 
-class TreeEdge(_Fields):
+class TreeEdge(namedtuple("TreeEdge", "parent child x")):
     """A parent -> child edge of an enumeration tree, labeled by the
-    integer x that was moved (replaced generator, or adjoined element).
-    Immutable by convention."""
+    integer x that was moved (replaced generator, or adjoined element)."""
 
-    __slots__ = ("parent", "child", "x")
-
-    def __init__(self, parent: Semigroup, child: Semigroup, x: int):
-        self.parent = parent
-        self.child = child
-        self.x = x
+    __slots__ = ()
 
 
-class EnumerationResult(_Fields):
+class EnumerationResult:
     """Enumeration output, built by collect; depth counts the tree
-    levels below the root.  Immutable by convention."""
+    levels below the root.  Immutable by convention; equal, hashed and
+    printed field by field."""
 
     __slots__ = ("semigroups", "algorithm", "depth", "edges")
 
@@ -393,6 +360,21 @@ class EnumerationResult(_Fields):
         self.algorithm = algorithm
         self.depth = depth
         self.edges = edges
+
+    def _values(self) -> tuple:
+        return self.semigroups, self.algorithm, self.depth, self.edges
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return (f"EnumerationResult(semigroups={self.semigroups!r}, "
+                f"algorithm={self.algorithm!r}, depth={self.depth!r}, edges={self.edges!r})")
 
     def __len__(self) -> int:
         return len(self.semigroups)

@@ -47,10 +47,11 @@ from .core import (EnumerationResult, InvalidParameters, Semigroup, Stats,
 
 def descend(F: int, t: int) -> Iterator[tuple[int, int, int, int]]:
     """Yield the AS semigroups with Frobenius number F and type >= t
-    (rounded up to the parity of F) as descent nodes (gap mask, PF mask,
-    msg mask, multiplicity), in canonical order (see the module
-    docstring); nothing when t > F.  Only the buckets not yet yielded are
-    held.  A semigroup reached twice raises RuntimeError."""
+    (rounded up to the parity of F) as descent nodes, plain tuples (gap
+    mask, msg mask, PF mask, multiplicity) in the field order of
+    core.Stats, in canonical order (see the module docstring); nothing
+    when t > F.  Only the buckets not yet yielded are held.  A semigroup
+    reached twice raises RuntimeError."""
     if F < 1 or t < 1:
         raise InvalidParameters("F must be >= 1" if F < 1 else "t must be >= 1")
     if t > F:
@@ -62,13 +63,13 @@ def descend(F: int, t: int) -> Iterator[tuple[int, int, int, int]]:
     members = (2 << (2 * F + 1)) - 2
     root = (1 << (F + 1)) - 2  # M(F): gaps = pf = {1..F}, msg = {F+1..2F+1}
     # buckets[x]: the nodes of multiplicity x reached so far
-    buckets = [[] for _ in range(F + 1)] + [[(root, root, members & ~root, F + 1)]]
+    buckets = [[] for _ in range(F + 1)] + [[(root, members & ~root, root, F + 1)]]
     for mult in range(F + 1, 0, -1):
         bucket = buckets.pop()
         if len({node[0] for node in bucket}) != len(bucket):
             raise RuntimeError("descending enumeration produced a semigroup twice")
-        for ga, pf, msg, m in bucket:
-            yield ga, pf, msg, m
+        for ga, msg, pf, m in bucket:
+            yield ga, msg, pf, m
             # a node of type t has the candidates x from t - 1 on; x = F is
             # excluded (adjoining F would change the Frobenius number), so
             # they end below min(m, F).  (b): the special gaps x of the
@@ -87,7 +88,7 @@ def descend(F: int, t: int) -> Iterator[tuple[int, int, int, int]]:
                 # (c): sums pf1 + x must avoid the child gaps (sums > F are members)
                 if (pf1 << x) & ga1:
                     continue
-                buckets[x].append((ga1, pf1, (msg & ~((members ^ ga1) << x)) | 1 << x, x))
+                buckets[x].append((ga1, (msg & ~((members ^ ga1) << x)) | 1 << x, pf1, x))
         # after M(F)'s bucket, if M(F) was expanded (F > target)
         if mult > F > target and [node[0] for node in buckets[F - 1]] != [root & ~(1 << (F - 1))]:
             raise RuntimeError("M(F) must have the single child with gaps {1..F} \\ {F-1}")
@@ -106,7 +107,7 @@ def as_down_to_type(F: int, t: int, *, with_edges: bool = False,
     differential testing, not production runs.
     """
     sems = [Semigroup._from_mask(ga, Stats(ga, msg, pf, m))
-            for ga, pf, msg, m in descend(F, t)]
+            for ga, msg, pf, m in descend(F, t)]
     if verify:
         for S in sems:
             carried = compute_stats(S)

@@ -12,6 +12,7 @@ def test_is_symmetric():
     assert is_symmetric(from_generators({3, 7}))
     assert is_symmetric(from_generators({2, 3}))
     assert not is_symmetric(canonical_M(5))
+    assert not is_symmetric(from_gaps([]))  # S = N
 
 
 def test_is_pseudo_symmetric():
@@ -20,6 +21,7 @@ def test_is_pseudo_symmetric():
     # brute-force PF scan: pf(C(10)) = {5, 10}
     assert compute_stats(canonical_C(10)).pf == (5, 10)
     assert is_pseudo_symmetric(canonical_C(10))
+    assert not is_pseudo_symmetric(from_gaps([]))  # S = N
 
 
 def test_is_irreducible():
@@ -32,6 +34,8 @@ def test_is_almost_symmetric():
     assert is_almost_symmetric(from_gaps({1, 2, 3, 4, 5, 6, 7, 11}))
     assert is_almost_symmetric(from_gaps({1, 2, 3, 4, 5, 6, 7, 10}))
     assert is_almost_symmetric(from_generators({4, 6, 9}))
+    # S = N: no gap of the second type; 2g = F + t would read 0 = -1 + 0
+    assert is_almost_symmetric(from_gaps([]))
 
 
 def test_canonical_C():

@@ -121,6 +121,7 @@ def test_stats_example_7a():
 def test_stats_naturals_convention():
     st_ = compute_stats(Semigroup())
     assert (st_.frobenius, st_.pf, st_.type_, st_.multiplicity) == (-1, (), 0, 1)
+    assert compute_stats(from_gaps([])) == (0, 0b10, 0, 1)
 
 
 def test_gap_partition_and_inequalities_small():
@@ -303,15 +304,18 @@ def test_value_classes_compare_hash_and_print_by_field():
     st_ = compute_stats(S)
     assert st_ == Stats(0b101110, 0b1011010000, 0b101100, 4)
     assert st_ != Stats(0b101110, 0b1011010000, 0b101100, 5)
-    assert st_ != (0b101110, 0b1011010000, 0b101100, 4)
+    assert st_ == (46, 720, 44, 4)
     assert repr(st_) == "Stats(gap_mask=46, msg_mask=720, pf_mask=44, multiplicity=4)"
-    with pytest.raises(TypeError):
-        hash(st_)
+    assert hash(st_) == hash((46, 720, 44, 4))
+    with pytest.raises(AttributeError):
+        st_.pf_mask = 0
 
     edge = TreeEdge(S, T, 2)
     twin = TreeEdge(from_gaps(S.gaps), from_gaps(T.gaps), 2)
     assert edge == twin and hash(edge) == hash(twin) and len({edge, twin}) == 1
     assert edge != TreeEdge(S, T, 3) and edge != TreeEdge(T, S, 2)
+    with pytest.raises(AttributeError):
+        edge.x = 3
     assert repr(edge) == ("TreeEdge(parent=Semigroup(gaps=[1, 2, 3, 5]), "
                           "child=Semigroup(gaps=[1, 3, 5]), x=2)")
 
