@@ -119,7 +119,13 @@ def as_with_type(F: int, t: int, *,
     Empty when no such semigroup exists (F + t odd, or t > F).  The walk
     yields only the removal sets of size ceil(t/2) - 1, and passes over
     an irreducible with fewer candidates than that at once.
+
+    _irreducibles, I(F) computed once by a caller that asks for many t
+    (acceptance criterion 4), must all have Frobenius number F:
+    InvalidParameters otherwise.
     """
+    if _irreducibles is not None and any(S.frobenius != F for S in _irreducibles):
+        raise InvalidParameters(f"given irreducibles must have Frobenius number {F}")
     return _ascend(F, t, t, _irreducibles)
 
 

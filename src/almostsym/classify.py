@@ -42,11 +42,10 @@ def is_almost_symmetric(S: Semigroup) -> bool:
 
 def canonical_C(F: int) -> Semigroup:
     """The irreducible with Frobenius F all of whose minimal generators
-    exceed F/2: gaps {1..(F-1)/2, F} (F odd) or {1..F/2, F} (F even)."""
+    exceed F/2: gaps {1..⌊F/2⌋, F}."""
     if F < 1:
         raise InvalidParameters("F must be >= 1")
-    half = (F - 1) // 2 if F % 2 else F // 2
-    return Semigroup(list(range(1, half + 1)) + [F])
+    return Semigroup(list(range(1, F // 2 + 1)) + [F])
 
 
 def canonical_M(F: int) -> Semigroup:

@@ -2,14 +2,17 @@
 
 Subcommands: info, irreducible, as-ascending, as-descending, oracle, bench.
 Each enumeration mode answers "type >= t" with one library call, t taken
-from --type, else --min-type, else 1 (as-ascending also stops its scan
-at --type); the one type filter, in _emit_result, then selects the
-answer: type == --type or type >= --min-type.  A --type or --min-type
-below 1 is invalid (exit 2) in every mode; a type above F, or of the
-other parity from F, is a valid question with an empty answer (exit 0).
-The answer is rendered one way: one JSON object per semigroup in
-canonical gap order, --count-only counts by type, or --dot the tree
-edges into the answer (the two flags exclude each other).  The answer
+from --type or --min-type (the two exclude each other), else 1
+(as-ascending also stops its scan at --type); the one type filter, in
+_emit_result, then selects the answer: type == --type or type >=
+--min-type.  A --type or --min-type below 1 is invalid (exit 2) in every
+mode; a type above F, or of the other parity from F, is a valid question
+with an empty answer (exit 0).  The answer is rendered one way: one JSON
+object per semigroup in canonical gap order, --count-only counts by
+type, or --dot, offered by the two tree modes (irreducible and
+as-descending) alone, the tree edges into the answer (the two flags
+exclude each other).  A flag is declared only on the subcommands where
+it works, so argparse rejects any other use (exit 2).  The answer
 reaches _emit_result as nodes, mask tuples in the field order of
 core.Stats (gap, msg, PF, multiplicity): the descent's nodes, or the
 Stats of each collected semigroup.  One formatter (_node_record) writes
@@ -136,12 +139,10 @@ def _cmd_info(args, out) -> None:
 def _cmd_enumerate(args, out) -> None:
     F = args.frobenius
     mode = args.mode
-    if args.dot and mode not in ("irreducible", "as-descending"):
-        raise InvalidParameters("--dot is only available for tree modes")
     if any(t is not None and t < 1 for t in (args.type, args.min_type)):
         raise InvalidParameters("--type and --min-type must be >= 1")
     _check_frobenius(F)
-    t = args.type if args.type is not None else args.min_type or 1
+    t = args.type or args.min_type or 1
     if mode == "as-descending" and not args.dot:
         # streamed: written in canonical order as the walk reaches it
         from .descending import descend
@@ -181,10 +182,6 @@ def _cmd_bench(args, report_file) -> str:
     return render_table(report)
 
 
-_THREADS_HELP = ("accepted for scripts that pass it (must be >= 1); every "
-                 "command runs in one thread")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="almostsym",
@@ -199,14 +196,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     for mode in ("irreducible", "as-ascending", "as-descending", "oracle"):
         p = sub.add_parser(mode, help=f"enumerate via {mode}")
-        p.set_defaults(mode=mode)
+        p.set_defaults(mode=mode, dot=False)
         p.add_argument("--frobenius", type=int, required=True)
-        p.add_argument("--type", type=int, default=None)
-        p.add_argument("--min-type", type=int, default=None, dest="min_type")
+        types = p.add_mutually_exclusive_group()
+        types.add_argument("--type", type=int, default=None)
+        types.add_argument("--min-type", type=int, default=None, dest="min_type")
         rendering = p.add_mutually_exclusive_group()
         rendering.add_argument("--count-only", action="store_true")
-        rendering.add_argument("--dot", action="store_true")
-        p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+        if mode in ("irreducible", "as-descending"):
+            rendering.add_argument("--dot", action="store_true")
+        p.add_argument("--threads", type=int, default=1, help=(
+            "must be >= 1; every command runs in one thread (kept for "
+            "acceptance criterion 10)"))
         p.add_argument("--out", default=None)
 
     bench = sub.add_parser("bench", help="timing comparison of the algorithms")
@@ -214,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated Frobenius numbers "
                             "(default: almostsym.bench.DEFAULT_F_LIST)")
     bench.add_argument("--algorithms", default="ascending,descending")
-    bench.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     bench.add_argument("--out", default=None)
     return parser
 

@@ -104,7 +104,8 @@ def as_down_to_type(F: int, t: int, *, with_edges: bool = False,
     verify=True recomputes the stats of every node from its gap mask
     alone and compares them with the descent's, then checks almost
     symmetry, raising RuntimeError on the first mismatch; it is meant for
-    differential testing, not production runs.
+    differential testing, not production runs (acceptance criterion 7
+    sets it).
     """
     sems = [Semigroup._from_mask(ga, Stats(ga, msg, pf, m))
             for ga, msg, pf, m in descend(F, t)]
@@ -127,7 +128,8 @@ def as_down_to_type(F: int, t: int, *, with_edges: bool = False,
     return EnumerationResult.collect(sems, "descending", max(F - t, 0) // 2, edges)
 
 
-def as_all_descending(F: int, *, with_edges: bool = False,
-                      verify: bool = False) -> EnumerationResult:
-    """All AS semigroups with Frobenius number F (descend to type 1)."""
-    return as_down_to_type(F, 1, with_edges=with_edges, verify=verify)
+def as_all_descending(F: int, *, verify: bool = False) -> EnumerationResult:
+    """All AS semigroups with Frobenius number F: as_down_to_type(F, 1),
+    with no edges.  verify is as_down_to_type's (acceptance criterion 7
+    sets it); the tree is as_down_to_type(F, 1, with_edges=True)."""
+    return as_down_to_type(F, 1, verify=verify)

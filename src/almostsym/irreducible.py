@@ -8,16 +8,17 @@ from .core import (EnumerationResult, InvalidParameters, Semigroup, TreeEdge,
 from .classify import canonical_C
 
 
-def irreducible_children(S: Semigroup, F: int) -> list[TreeEdge]:
-    """Children of an irreducible S in the tree of irreducibles with
-    Frobenius F.
+def irreducible_children(S: Semigroup) -> list[TreeEdge]:
+    """Children of an irreducible S in the tree of irreducibles with its
+    Frobenius number F.
 
     One child per minimal generator x with F/2 < x < F, 2x - F not in S,
     3x != 2F, 4x != 3F and F - x < multiplicity; the child is
-    (S \\ {x}) | {F - x}, i.e. its gaps are (gaps \\ {F - x}) | {x}.
-    Edges are returned in increasing x.
+    (S \\ {x}) | {F - x}, i.e. its gaps are (gaps \\ {F - x}) | {x}, and
+    has Frobenius number F too.  Edges are returned in increasing x.
     """
     st = compute_stats(S)
+    F = st.frobenius
     edges = []
     for x in st.msg:
         if not (2 * x > F and x < F):
@@ -47,7 +48,7 @@ def enumerate_irreducible(F: int) -> EnumerationResult:
     while stack:
         node, d = stack.pop()
         depth = max(depth, d)
-        children = irreducible_children(node, F)
+        children = irreducible_children(node)
         edges.extend(children)
         for edge in children:
             if edge.child.mask in seen:

@@ -51,7 +51,7 @@ def all_with_frobenius(F: int) -> EnumerationResult:
 
 def oracle_as(F: int, t: int | None = None) -> EnumerationResult:
     """Almost symmetric semigroups with Frobenius number F, optionally
-    restricted to type t."""
+    restricted to type t (acceptance criteria 4 and 5 ask for one type)."""
     base = all_with_frobenius(F)
     sems = [S for S in base if is_almost_symmetric(S)
             and (t is None or compute_stats(S).type_ == t)]

@@ -53,6 +53,14 @@ def test_as_with_type_invalid():
         as_all_ascending(11, 0)
 
 
+def test_as_with_type_rejects_irreducibles_of_another_frobenius_number():
+    # I(11) given as the irreducibles of F = 12 would answer with F = 11
+    with pytest.raises(InvalidParameters, match="Frobenius number 12"):
+        as_with_type(12, 2, _irreducibles=enumerate_irreducible(11))
+    assert as_with_type(11, 3, _irreducibles=enumerate_irreducible(11)) == \
+        as_with_type(11, 3)
+
+
 def test_outputs_are_as_with_requested_invariants():
     for F in range(1, 21):
         for t in range(1, F + 1):

@@ -4,6 +4,7 @@ from almostsym import (InvalidParameters, as_exists, canonical_C, canonical_M,
                        compute_stats, from_gaps, from_generators,
                        is_almost_symmetric, is_irreducible, is_pseudo_symmetric,
                        is_symmetric)
+import almostsym.classify
 from almostsym.irreducible import enumerate_irreducible
 from almostsym.oracle import all_with_frobenius, oracle_as
 
@@ -36,6 +37,18 @@ def test_is_almost_symmetric():
     assert is_almost_symmetric(from_generators({4, 6, 9}))
     # S = N: no gap of the second type; 2g = F + t would read 0 = -1 + 0
     assert is_almost_symmetric(from_gaps([]))
+
+
+def test_is_almost_symmetric_raises_when_characterizations_disagree(monkeypatch):
+    # one PF bit more on the symmetric C(11): the subset test still holds,
+    # 2g = F + t no longer does
+    def with_extra_pf(S, _stats=almostsym.classify.compute_stats):
+        st = _stats(S)
+        return st._replace(pf_mask=st.pf_mask | 1 << 5)
+
+    monkeypatch.setattr(almostsym.classify, "compute_stats", with_extra_pf)
+    with pytest.raises(RuntimeError, match="characterizations disagree"):
+        is_almost_symmetric(canonical_C(11))
 
 
 def test_canonical_C():

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import functools
 import inspect
@@ -122,9 +123,22 @@ def test_dot_output(capsys):
     assert out.rstrip().endswith("}")
 
 
-def test_dot_rejected_for_non_tree_mode(capsys):
-    code, _, err = run(capsys, "as-ascending", "--frobenius", "11", "--dot")
-    assert code == 2
+def test_each_subcommand_offers_only_the_flags_that_work_in_it():
+    parser = cli.build_parser()
+    subcommands = next(action.choices for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    offered = {name: {flag for action in sub._actions for flag in action.option_strings}
+               - {"-h", "--help"} for name, sub in subcommands.items()}
+    enumeration = {"--frobenius", "--type", "--min-type", "--count-only",
+                   "--threads", "--out"}
+    assert offered == {
+        "info": {"--gens", "--gaps"},
+        "irreducible": enumeration | {"--dot"},
+        "as-ascending": enumeration,
+        "as-descending": enumeration | {"--dot"},
+        "oracle": enumeration,
+        "bench": {"--frobenius-list", "--algorithms", "--out"},
+    }
 
 
 def reference_dot_edge(edge):
@@ -139,7 +153,7 @@ def test_dot_follows_the_type_filter(capsys):
     # --dot draws the edge into each node of the request's answer, the
     # answer that --count-only counts, and no other edge
     trees = {"irreducible": enumerate_irreducible,
-             "as-descending": functools.partial(as_all_descending, with_edges=True)}
+             "as-descending": lambda F: as_down_to_type(F, 1, with_edges=True)}
     for mode, tree in trees.items():
         for F in range(1, 21):
             edges = tree(F).edges
@@ -351,7 +365,7 @@ def test_dot_written_in_batches(monkeypatch):
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["as-descending", "--frobenius", "30", "--dot"]) == 0
     lines = ["digraph tree {", *map(reference_dot_edge,
-                                    as_all_descending(30, with_edges=True).edges), "}"]
+                                    as_down_to_type(30, 1, with_edges=True).edges), "}"]
     assert len(lines) > cli._WRITE_BATCH
     assert out.getvalue() == "".join(line + "\n" for line in lines)
     assert out.writes == -(-len(lines) // cli._WRITE_BATCH)
@@ -555,6 +569,17 @@ FAIL_AFTER_OUTPUT = ("emit = almostsym.cli._emit_result\n"
     # one rendering per request: the two flags exclude each other
     pytest.param(2, ["as-descending", "--frobenius", "11", "--count-only",
                      "--dot"], "", b"usage: ", id="count-only-and-dot"),
+    # one type question per request: the two flags exclude each other
+    pytest.param(2, ["as-descending", "--frobenius", "11", "--type", "3",
+                     "--min-type", "5"], "", b"usage: ", id="type-and-min-type"),
+    # a flag exists only where it works: --dot draws a tree, which only
+    # the tree modes walk, and bench runs in one thread
+    pytest.param(2, ["as-ascending", "--frobenius", "11", "--dot"], "", b"usage: ",
+                 id="as-ascending-dot"),
+    pytest.param(2, ["oracle", "--frobenius", "11", "--dot"], "", b"usage: ",
+                 id="oracle-dot"),
+    pytest.param(2, ["bench", "--frobenius-list", "5", "--threads", "1"], "",
+                 b"usage: ", id="bench-threads"),
     # every F is above the oracle's limit, so no pair is timed
     pytest.param(3, ["bench", "--frobenius-list", "20", "--algorithms", "oracle"],
                  "", b"error: nothing to time", id="bench-times-nothing"),

@@ -9,7 +9,7 @@ from almostsym import (ClosureViolation, EnumerationResult, LimitExceeded,
                        NotNumerical, Semigroup, Stats, TreeEdge, compute_stats,
                        from_gaps, from_generators)
 from almostsym.core import _canonical_key
-from almostsym.descending import as_all_descending
+from almostsym.descending import as_down_to_type
 from almostsym.oracle import all_with_frobenius
 
 C11_GAPS = (1, 2, 3, 4, 5, 11)
@@ -223,6 +223,11 @@ def test_collect_rejects_duplicates():
         EnumerationResult.collect([S, from_gaps(S.gaps)], "test", 0)
 
 
+def test_collect_rejects_mixed_frobenius_numbers():
+    with pytest.raises(RuntimeError, match="mixed Frobenius numbers"):
+        EnumerationResult.collect([from_gaps([1]), from_gaps([1, 2])], "test", 0)
+
+
 def test_collect_orders_lexicographically():
     # F = 7 -> 8 and 15 -> 16 add a byte to the gap masks
     for F in range(1, 17):
@@ -244,7 +249,7 @@ def test_canonical_key_orders_as_gap_tuples(data):
 
 
 def test_collect_orders_edges_by_parent_then_x():
-    tree = as_all_descending(12, with_edges=True)
+    tree = as_down_to_type(12, 1, with_edges=True)
     edges = list(tree.edges)
     # the descent of F = 12 has parents with several children, so the
     # reversed list has equal parents in decreasing x

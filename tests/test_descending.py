@@ -3,8 +3,8 @@ import functools
 import pytest
 from hypothesis import given, strategies as st
 
-from almostsym import (InvalidParameters, compute_stats, is_almost_symmetric,
-                       Semigroup)
+from almostsym import (InvalidParameters, compute_stats, from_gaps,
+                       is_almost_symmetric, Semigroup)
 import almostsym.descending
 from almostsym.core import _canonical_key
 from almostsym.descending import as_all_descending, as_down_to_type, descend
@@ -44,7 +44,7 @@ def test_descend_second_level():
 def test_descend_requires_type_at_least_three():
     # nodes of type 1 or 2 are leaves: the descent adjoins nothing to them
     for F in range(1, 15):
-        result = as_all_descending(F, with_edges=True)
+        result = as_down_to_type(F, 1, with_edges=True)
         parents = {e.parent for e in result.edges}
         assert all(compute_stats(S).type_ >= 3 for S in parents)
 
@@ -104,6 +104,21 @@ def test_verify_catches_corrupted_msg(monkeypatch):
         as_down_to_type(5, 1, verify=True)
 
 
+def test_verify_catches_a_node_that_is_not_almost_symmetric(monkeypatch):
+    # gaps {1, 2, 4, 5}: F = 5, type 2, genus 4, and 2g != F + t.  Its
+    # stats are correct, so only the almost-symmetry check can catch it.
+    walk = almostsym.descending.descend
+    not_as = tuple(compute_stats(from_gaps([1, 2, 4, 5])))
+
+    def descend_and_stray(F, t):
+        yield from walk(F, t)
+        yield not_as
+
+    monkeypatch.setattr(almostsym.descending, "descend", descend_and_stray)
+    with pytest.raises(RuntimeError, match="not almost symmetric"):
+        as_down_to_type(5, 1, verify=True)
+
+
 def test_every_node_is_as_with_expected_type():
     for F in range(5, 15):
         result = as_all_descending(F)
@@ -116,7 +131,7 @@ def test_every_node_is_as_with_expected_type():
 
 def test_parent_recovery():
     for F in range(5, 15):
-        result = as_all_descending(F, with_edges=True)
+        result = as_down_to_type(F, 1, with_edges=True)
         nodes = result.gap_sets()
         for edge in result.edges:
             x = edge.x
@@ -199,7 +214,7 @@ def test_derived_edges_match_recorded_edges():
     for F in range(1, 31):
         _, edges = window_descent(F)
         expected = sorted(edges, key=lambda e: (gaps(e[0]), e[2]))
-        result = as_all_descending(F, with_edges=True)
+        result = as_down_to_type(F, 1, with_edges=True)
         assert [(e.parent.mask, e.child.mask, e.x) for e in result.edges] == expected
         assert len(expected) == len(result) - 1
 

@@ -2,6 +2,7 @@ import pytest
 
 from almostsym import (InvalidParameters, canonical_C, compute_stats,
                        from_generators, is_irreducible)
+import almostsym.irreducible
 from almostsym.irreducible import enumerate_irreducible, irreducible_children
 from almostsym.oracle import all_with_frobenius
 
@@ -16,21 +17,29 @@ I11 = {
 
 
 def test_children_of_root_f11():
-    edges = irreducible_children(canonical_C(11), 11)
+    edges = irreducible_children(canonical_C(11))
     assert [e.x for e in edges] == [6, 7, 8]
     assert {e.child.gaps for e in edges} == {
         (1, 2, 3, 4, 6, 11), (1, 2, 3, 5, 7, 11), (1, 2, 4, 5, 8, 11)}
 
 
 def test_leaf_has_no_children():
-    assert irreducible_children(from_generators({3, 7}), 11) == []
+    assert irreducible_children(from_generators({3, 7})) == []
 
 
 def test_single_child():
-    edges = irreducible_children(from_generators({5, 7, 8, 9}), 11)
+    edges = irreducible_children(from_generators({5, 7, 8, 9}))
     assert len(edges) == 1
     assert edges[0].x == 7
     assert edges[0].child == from_generators({4, 5})
+
+
+def test_revisited_node_is_an_invariant_failure(monkeypatch):
+    children = almostsym.irreducible.irreducible_children
+    monkeypatch.setattr(almostsym.irreducible, "irreducible_children",
+                        lambda S: children(S) * 2)  # every edge twice
+    with pytest.raises(RuntimeError, match="revisited"):
+        enumerate_irreducible(11)
 
 
 def test_child_gap_relation():
