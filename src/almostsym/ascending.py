@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .core import EnumerationResult, InvalidParameters, Semigroup, compute_stats
+from .classify import is_irreducible
 from .irreducible import enumerate_irreducible
 
 
@@ -121,11 +122,14 @@ def as_with_type(F: int, t: int, *,
     an irreducible with fewer candidates than that at once.
 
     _irreducibles, I(F) computed once by a caller that asks for many t
-    (acceptance criterion 4), must all have Frobenius number F:
-    InvalidParameters otherwise.
+    (acceptance criterion 4), must all be irreducible with Frobenius
+    number F: InvalidParameters otherwise.  The test computes each
+    semigroup's stats, which the walk then reuses from the instance.
     """
-    if _irreducibles is not None and any(S.frobenius != F for S in _irreducibles):
-        raise InvalidParameters(f"given irreducibles must have Frobenius number {F}")
+    if _irreducibles is not None and any(S.frobenius != F or not is_irreducible(S)
+                                         for S in _irreducibles):
+        raise InvalidParameters(
+            f"given semigroups must be irreducible with Frobenius number {F}")
     return _ascend(F, t, t, _irreducibles)
 
 

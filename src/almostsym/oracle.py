@@ -1,11 +1,18 @@
-"""Brute-force ground truth for small Frobenius numbers.
+"""Ground truth from the definition: every numerical semigroup with a
+given Frobenius number, by closure alone.
 
-Every subset of {1..F-1} is tried as a gap set (together with F itself),
-held as a gap mask; closure of the complement is checked with the
-definitional double loop over bit tests, deliberately sharing no logic
-with core.from_gaps.  Nothing is cached: each call scans all 2^(F-1)
-masks.  Exponential in F: F is limited to DEFAULT_F_MAX, the one place
-that states the limit (bench leaves out the F the oracle refuses).
+The integers 1..F-1 are decided in increasing order, on two masks of the
+oracle's own: M, the members chosen so far, and Sigma, all sums of two
+of them.  A member chosen after i exceeds i, and so does any sum with
+it, so bit i of Sigma is final when i is reached: i is forced to be a
+member when it is set, otherwise both choices are tried.  A branch dies
+as soon as two members sum to F.  Each leaf is a gap set {1..F} minus M
+whose complement is closed under addition; a closed set is never cut,
+and its membership decisions are its path, so each is a leaf exactly
+once.  The search shares no logic with core or with either algorithm;
+nothing is cached.  It is exponential in F: F is limited to
+DEFAULT_F_MAX, the one place that states the limit (bench leaves out
+the F the oracle refuses).
 """
 
 from __future__ import annotations
@@ -13,28 +20,30 @@ from __future__ import annotations
 from .core import EnumerationResult, InvalidParameters, LimitExceeded, Semigroup, compute_stats
 from .classify import is_almost_symmetric
 
-DEFAULT_F_MAX = 18
+DEFAULT_F_MAX = 28
 
 
 def _scan_range(F: int, lo: int, hi: int) -> list[int]:
-    """Gap masks G = sub << 1 | 1 << F of the semigroups among the subset
-    bitmasks sub of {1..F-1} in [lo, hi): G is kept unless some members
-    a <= b with a + b <= F sum to a gap."""
+    """Gap masks G of the semigroups with Frobenius number F whose gaps
+    below F, as the subset bitmask sub = (G >> 1) mod 2^(F-1) of
+    {1..F-1}, lie in [lo, hi); in the order the search reaches them."""
     found = []
-    for sub in range(lo, hi):
-        G = sub << 1 | 1 << F
-        ok = True
-        for a in range(1, F // 2 + 1):
-            if G >> a & 1:
-                continue
-            for b in range(a, F - a + 1):
-                if G >> (a + b) & 1 and not G >> b & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(G)
+    full = (2 << F) - 2
+    low = (1 << (F - 1)) - 1
+    stack = [(1, 0, 0)]
+    while stack:
+        i, M, Sigma = stack.pop()
+        if i == F:
+            G = full & ~M
+            if lo <= (G >> 1) & low < hi:
+                found.append(G)
+            continue
+        if not Sigma >> i & 1:
+            stack.append((i + 1, M, Sigma))
+        M |= 1 << i
+        Sigma |= M << i
+        if not Sigma >> F & 1:
+            stack.append((i + 1, M, Sigma))
     return found
 
 

@@ -61,6 +61,15 @@ def test_as_with_type_rejects_irreducibles_of_another_frobenius_number():
         as_with_type(11, 3)
 
 
+def test_as_with_type_rejects_semigroups_that_are_not_irreducible():
+    # AS semigroups of type 3 given as I(11) would answer for type 1 with
+    # themselves, and for type 5 reach one semigroup twice
+    given = as_all_ascending(11, 3, 3)
+    for t in (1, 5):
+        with pytest.raises(InvalidParameters, match="irreducible"):
+            as_with_type(11, t, _irreducibles=given)
+
+
 def test_outputs_are_as_with_requested_invariants():
     for F in range(1, 21):
         for t in range(1, F + 1):

@@ -581,7 +581,7 @@ FAIL_AFTER_OUTPUT = ("emit = almostsym.cli._emit_result\n"
     pytest.param(2, ["bench", "--frobenius-list", "5", "--threads", "1"], "",
                  b"usage: ", id="bench-threads"),
     # every F is above the oracle's limit, so no pair is timed
-    pytest.param(3, ["bench", "--frobenius-list", "20", "--algorithms", "oracle"],
+    pytest.param(3, ["bench", "--frobenius-list", "29", "--algorithms", "oracle"],
                  "", b"error: nothing to time", id="bench-times-nothing"),
 ])
 def test_exit_code(code, argv, fault, message):

@@ -1,7 +1,9 @@
 import pytest
 
 from almostsym import ClosureViolation, InvalidParameters, LimitExceeded, from_gaps
-from almostsym.oracle import all_with_frobenius, oracle_as
+from almostsym.ascending import as_all_ascending
+from almostsym.descending import as_all_descending
+from almostsym.oracle import DEFAULT_F_MAX, _scan_range, all_with_frobenius, oracle_as
 
 
 def test_f1():
@@ -21,14 +23,32 @@ def test_f11_contains_irreducibles():
 
 def test_counts_small():
     # matches the known counts of numerical semigroups by Frobenius number
-    counts = {F: len(all_with_frobenius(F)) for F in range(1, 13)}
+    counts = {F: len(all_with_frobenius(F)) for F in range(1, 19)}
     assert counts == {1: 1, 2: 1, 3: 2, 4: 2, 5: 5, 6: 4, 7: 11, 8: 10,
-                      9: 21, 10: 22, 11: 51, 12: 40}
+                      9: 21, 10: 22, 11: 51, 12: 40, 13: 106, 14: 103,
+                      15: 200, 16: 205, 17: 465, 18: 405}
+
+
+def test_scan_range_splits_into_its_ranges():
+    # the search decides 1..F-1 in its own order, yet [lo, hi) selects by
+    # the subset bitmask sub = G >> 1 of the gaps below F, as a scan would
+    for F in (1, 2, 7, 12, 17):
+        top = 1 << (F - 1)
+        whole = _scan_range(F, 0, top)
+        assert len(set(whole)) == len(whole) == len(all_with_frobenius(F))
+        cuts = sorted({0, top // 5, top // 3, 2 * top // 3, top})
+        parts = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            part = _scan_range(F, lo, hi)
+            assert all(lo <= (G >> 1) % top < hi and G >> F == 1 for G in part)
+            parts += part
+        assert sorted(parts) == sorted(whole)
+        assert _scan_range(F, top, 2 * top) == []
 
 
 def test_limits():
     with pytest.raises(LimitExceeded):
-        all_with_frobenius(19)
+        all_with_frobenius(DEFAULT_F_MAX + 1)
     with pytest.raises(InvalidParameters):
         all_with_frobenius(0)
 
@@ -52,3 +72,11 @@ def test_closure_check_agrees_with_from_gaps():
             except ClosureViolation:
                 ok = False
             assert ok == (tuple(sorted(gaps)) in accepted)
+
+
+def test_three_algorithms_agree_beyond_criterion_4():
+    # all types at once, where criterion 4 stops at F = 14
+    for F in range(15, 27):
+        orc = oracle_as(F).gap_sets()
+        assert as_all_ascending(F).gap_sets() == orc, F
+        assert as_all_descending(F).gap_sets() == orc, F
