@@ -17,18 +17,16 @@ longer bring it to k(min).
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
-from .core import EnumerationResult, InvalidParameters, Semigroup, compute_stats
+from .core import EnumerationResult, InvalidParameters, Semigroup, _bits
 from .classify import is_irreducible
-from .irreducible import enumerate_irreducible
+from .irreducible import _generator_window, enumerate_irreducible
 
 
 def b_count(S: Semigroup) -> int:
     """Number of minimal generators strictly between F/2 and F."""
-    st = compute_stats(S)
-    F = st.frobenius
-    return sum(1 for x in st.msg if 2 * x > F and x < F)
+    return _generator_window(S).bit_count()
 
 
 def _removal_sets(S: Semigroup, kmin: int, kmax: int) -> Iterator[tuple[int, ...]]:
@@ -43,9 +41,8 @@ def _removal_sets(S: Semigroup, kmin: int, kmax: int) -> Iterator[tuple[int, ...
     to kmin elements; at the root this skips an S with fewer than kmin
     candidates (b_count(S) < kmin) without a step.
     """
-    st = compute_stats(S)
-    F = st.frobenius
-    cands = [x for x in st.msg if 2 * x > F and x < F]
+    F = S.frobenius
+    cands = _bits(_generator_window(S))
     chosen: list[int] = []
     chosen_set: set[int] = set()
 

@@ -3,9 +3,10 @@ procedures against the brute-force oracle, on one list of Frobenius
 numbers.
 
 The report is the plain JSON object that `bench --out` writes.  Each
-F and each algorithm may appear once in its list (InvalidParameters
-otherwise).  The answers at one F are compared as gap sets, outside the
-timed span.  The oracle's F cap is its own (oracle.DEFAULT_F_MAX): a
+F and each algorithm may appear once in its list, and every F is at
+least 1 (InvalidParameters otherwise, before any pair is timed).  The
+answers at one F are compared as sets of gap masks, outside the timed
+span.  The oracle's F cap is its own (oracle.DEFAULT_F_MAX): a
 pair the oracle refuses is left out of the report.
 """
 
@@ -39,6 +40,8 @@ def run_bench(f_list=DEFAULT_F_LIST, algorithms=("ascending", "descending")) -> 
     algorithms = tuple(algorithms)
     if not f_list:
         raise InvalidParameters("empty Frobenius list")
+    if min(f_list) < 1:
+        raise InvalidParameters(f"Frobenius number below 1 in {list(f_list)}")
     if not algorithms:
         raise InvalidParameters("empty algorithm list")
     for name in algorithms:
@@ -62,7 +65,7 @@ def run_bench(f_list=DEFAULT_F_LIST, algorithms=("ascending", "descending")) -> 
             elapsed = time.perf_counter() - start
             rows.append({"frobenius": F, "algorithm": name,
                          "seconds": elapsed, "count": len(result)})
-            answer = result.gap_sets()
+            answer = {S.mask for S in result}
             if expected is None:
                 expected = name, answer
             elif answer != expected[1]:

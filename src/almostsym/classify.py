@@ -2,20 +2,20 @@
 
 from __future__ import annotations
 
-from .core import InvalidParameters, Semigroup, compute_stats
+from .core import InvalidParameters, Semigroup, _reverse, compute_stats
 
 
 def is_symmetric(S: Semigroup) -> bool:
     """True iff PF(S) = {F(S)}.  False for S = N."""
-    st = compute_stats(S)
-    return bool(S.mask) and st.pf == (st.frobenius,)
+    return bool(S.mask) and compute_stats(S).pf_mask == 1 << S.frobenius
 
 
 def is_pseudo_symmetric(S: Semigroup) -> bool:
-    """True iff F is even and PF(S) = {F/2, F}."""
-    st = compute_stats(S)
-    F = st.frobenius
-    return F >= 2 and F % 2 == 0 and st.pf == (F // 2, F)
+    """True iff PF(S) = {F/2, F}.  False for S = N, and for odd F: with
+    PF = {(F - 1)/2, F}, the gap (F + 1)/2 would be below no element of
+    PF in the order of S."""
+    F = S.frobenius
+    return bool(S.mask) and compute_stats(S).pf_mask == 1 << F | 1 << F // 2
 
 
 def is_irreducible(S: Semigroup) -> bool:
@@ -24,7 +24,9 @@ def is_irreducible(S: Semigroup) -> bool:
 
 
 def is_almost_symmetric(S: Semigroup) -> bool:
-    """True iff every gap of the second type is pseudo-Frobenius.
+    """True iff every gap of the second type is pseudo-Frobenius.  On
+    the gap mask G those gaps, the x with F - x a gap, are
+    G & reverse(G), so the test is one AND with the PF mask's complement.
 
     Cross-checked against the equivalent minimal-genus characterization
     2g = F + t; disagreement between the two definitions is an internal
@@ -33,7 +35,8 @@ def is_almost_symmetric(S: Semigroup) -> bool:
     if not S.mask:
         return True
     st = compute_stats(S)
-    by_subset = set(st.gaps_second) <= set(st.pf)
+    G = st.gap_mask
+    by_subset = not G & _reverse(G) & ~st.pf_mask
     by_genus = 2 * st.genus == st.frobenius + st.type_
     if by_subset != by_genus:
         raise RuntimeError(f"almost-symmetry characterizations disagree on {S}")

@@ -55,9 +55,11 @@ INPUT_F_MAX = 100_000
 
 
 # Tables with one row per byte position of a mask (see _row), grown as
-# wider masks arrive, up to TABLE_BYTES rows: that covers the msg masks of
-# every F up to 127; wider masks, from semigroups given as input, are
-# scanned instead.
+# wider masks arrive, up to TABLE_BYTES rows: that covers every mask of a
+# semigroup with F up to 127, whose minimal generators are at most
+# 2F + 1.  Wider masks are scanned instead: those of semigroups given as
+# input, and those of enumerations with F >= 128 (the msg mask of M(128),
+# the root of the descent at F = 128, has 33 bytes).
 _BIT_ROWS: list[list[tuple[int, ...]]] = []
 _TEXT_ROWS: list[list[str]] = []
 TABLE_BYTES = 32

@@ -4,8 +4,17 @@ Frobenius number, rooted at C(F)."""
 from __future__ import annotations
 
 from .core import (EnumerationResult, InvalidParameters, Semigroup, TreeEdge,
-                   compute_stats)
+                   _bits, compute_stats)
 from .classify import canonical_C
+
+
+def _generator_window(S: Semigroup) -> int:
+    """Mask of the minimal generators x of S with F/2 < x < F: those the
+    tree of irreducibles swaps for F - x and ascending removes.  0 for
+    S = N."""
+    F = S.frobenius
+    window = (1 << F) - (2 << F // 2) if F > 0 else 0
+    return compute_stats(S).msg_mask & window
 
 
 def irreducible_children(S: Semigroup) -> list[TreeEdge]:
@@ -17,17 +26,15 @@ def irreducible_children(S: Semigroup) -> list[TreeEdge]:
     (S \\ {x}) | {F - x}, i.e. its gaps are (gaps \\ {F - x}) | {x}, and
     has Frobenius number F too.  Edges are returned in increasing x.
     """
-    st = compute_stats(S)
-    F = st.frobenius
+    F = S.frobenius
+    m = compute_stats(S).multiplicity
     edges = []
-    for x in st.msg:
-        if not (2 * x > F and x < F):
-            continue
+    for x in _bits(_generator_window(S)):
         if S.contains(2 * x - F):
             continue
         if 3 * x == 2 * F or 4 * x == 3 * F:
             continue
-        if F - x >= st.multiplicity:
+        if F - x >= m:
             continue
         child = Semigroup._from_mask((S.mask & ~(1 << (F - x))) | 1 << x)
         edges.append(TreeEdge(S, child, x))

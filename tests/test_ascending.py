@@ -51,6 +51,8 @@ def test_as_with_type_invalid():
         as_with_type(11, 0)
     with pytest.raises(InvalidParameters):
         as_all_ascending(11, 0)
+    with pytest.raises(InvalidParameters):
+        removal_candidates(from_generators({6, 7, 8, 9, 10}), 0)
 
 
 def test_as_with_type_rejects_irreducibles_of_another_frobenius_number():

@@ -5,7 +5,8 @@ from almostsym import (InvalidParameters, as_exists, canonical_C, canonical_M,
                        is_almost_symmetric, is_irreducible, is_pseudo_symmetric,
                        is_symmetric)
 import almostsym.classify
-from almostsym.irreducible import enumerate_irreducible
+from almostsym.ascending import b_count
+from almostsym.irreducible import enumerate_irreducible, irreducible_children
 from almostsym.oracle import all_with_frobenius, oracle_as
 
 
@@ -120,3 +121,29 @@ def test_pf_equals_L_plus_F_iff_as():
             st = compute_stats(S)
             alt = set(st.gaps_second) | {st.frobenius}
             assert (set(st.pf) == alt) == is_almost_symmetric(S)
+
+
+def test_mask_rules_match_their_definitions():
+    # each predicate and the (F/2, F) generator window decide on masks;
+    # here they are checked against their definitions written on S.gaps
+    # and the PF and msg tuples, for every S with F <= 16 and for S = N
+    semigroups = [from_gaps([])]
+    for F in range(1, 17):
+        semigroups += all_with_frobenius(F)
+    for S in semigroups:
+        st = compute_stats(S)
+        F, gaps, pf = S.frobenius, set(S.gaps), st.pf
+        symmetric = bool(gaps) and pf == (F,)
+        pseudo = F % 2 == 0 and pf == (F // 2, F)
+        second_type = {x for x in gaps if F - x in gaps}
+        window = [x for x in st.msg if F / 2 < x < F]
+        assert is_symmetric(S) is symmetric
+        assert is_pseudo_symmetric(S) is pseudo
+        assert is_irreducible(S) is (symmetric or pseudo)
+        assert is_almost_symmetric(S) is (second_type <= set(pf))
+        assert b_count(S) == len(window)
+        if symmetric or pseudo:
+            m = min(x for x in range(1, F + 2) if x not in gaps)
+            labels = [x for x in window if 2 * x - F in gaps and 3 * x != 2 * F
+                      and 4 * x != 3 * F and F - x < m]
+            assert [e.x for e in irreducible_children(S)] == labels

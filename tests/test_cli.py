@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import almostsym
+import almostsym.bench
 from almostsym import cli, compute_stats, from_gaps, from_generators
 from almostsym.cli import main
 from almostsym.descending import as_all_descending, as_down_to_type
@@ -197,6 +198,18 @@ def test_bench(capsys, tmp_path):
 def test_bench_empty_list(capsys):
     code, _, err = run(capsys, "bench", "--frobenius-list", "")
     assert code == 2
+
+
+def test_bench_rejects_frobenius_below_one_before_timing(monkeypatch):
+    def not_called(F):
+        pytest.fail(f"timed F = {F} before the list was checked")
+
+    monkeypatch.setattr(almostsym.bench, "_ALGORITHMS",
+                        dict.fromkeys(almostsym.bench._ALGORITHMS, not_called))
+    for f_list in ([5, 0], [0], [3, -1, 7]):
+        with pytest.raises(almostsym.InvalidParameters,
+                           match=r"Frobenius number below 1 in \["):
+            almostsym.bench.run_bench(f_list, ["ascending", "descending"])
 
 
 def test_determinism_across_threads(capsys):
@@ -538,6 +551,10 @@ FAIL_AFTER_OUTPUT = ("emit = almostsym.cli._emit_result\n"
     # a repeated entry would be timed twice, and the table shows one
     pytest.param(2, ["bench", "--frobenius-list", "13,13"], "",
                  b"error: repeated Frobenius number", id="bench-repeated-f"),
+    # a list with an F below 1 is refused before F = 5 is timed
+    pytest.param(2, ["bench", "--frobenius-list", "5,0", "--algorithms",
+                     "descending"], "", b"error: Frobenius number below 1 in [5, 0]\n",
+                 id="bench-f-below-one"),
     pytest.param(2, ["bench", "--frobenius-list", "5", "--algorithms",
                      "ascending,ascending"], "", b"error: repeated algorithm",
                  id="bench-repeated-algorithm"),
@@ -728,15 +745,16 @@ ALGORITHM_MODULES = {f"almostsym.{name}" for name in (
     "ascending", "descending", "irreducible", "oracle", "classify", "bench")}
 
 
-def modules_after(*argv):
-    """The modules loaded by a fresh interpreter that imports almostsym.cli
-    and, when argv is given, runs that command."""
+def modules_after(*argv, flags=()):
+    """The modules loaded by a fresh interpreter, started with the
+    interpreter flags given, that imports almostsym.cli and, when argv is
+    given, runs that command."""
     script = ("import sys, almostsym.cli\n"
               "if sys.argv[1:]:\n"
               "    assert almostsym.cli.main(sys.argv[1:]) == 0\n"
               "sys.stderr.write(' '.join(sys.modules))")
     env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
-    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+    proc = subprocess.run([sys.executable, *flags, "-c", script, *argv], env=env,
                           capture_output=True, timeout=120, check=True)
     return set(proc.stderr.decode().split())
 
@@ -752,3 +770,9 @@ def test_start_up_loads_only_what_the_command_runs():
     # the bench keeps plain rows: no dataclasses, and with them no inspect
     loaded = modules_after("bench", "--frobenius-list", "5")
     assert not loaded & {"dataclasses", "inspect"}
+
+    # without site, whose .pth files may import typing on their own, the
+    # modules that ascending and bench bring in do not load it either
+    for argv in (["as-ascending", "--frobenius", "10", "--count-only"],
+                 ["bench", "--frobenius-list", "5"]):
+        assert "typing" not in modules_after(*argv, flags=["-S"])

@@ -327,5 +327,7 @@ def test_value_classes_compare_hash_and_print_by_field():
     result = EnumerationResult((S,), "test", 1)
     assert result == EnumerationResult((from_gaps(S.gaps),), "test", 1, ())
     assert result != EnumerationResult((S,), "test", 0)
+    # __eq__ returns NotImplemented for a non-result, so == is False
+    assert result != (S,) and result.__eq__((S,)) is NotImplemented
     assert repr(result) == ("EnumerationResult(semigroups=(Semigroup(gaps=[1, 2, 3, 5]),), "
                             "algorithm='test', depth=1, edges=())")
