@@ -22,6 +22,13 @@ records are written as they come; every other request collects its
 answer first.  Every line, of `info` and the `bench` table too, goes
 through one batched writer (_write).
 
+Records run as a two-process pipeline (_write_records, pipeline): the
+first batch is written here, and a longer answer forks one child that
+produces the rest of the nodes (the walk, or compute_stats of the
+collected answer) while this process formats and writes their records.
+An answer of one batch, --count-only and --dot stay in one process, and
+--threads is a no-op.
+
 Exit codes: 0 success, 2 invalid parameters or an output (stdout or
 --out) that fails, stdout closed at start included, 3 resource limit
 (F above core.INPUT_F_MAX in any mode, a bench that has no pair to
@@ -30,10 +37,10 @@ that closes stdout early (`almostsym as-descending --frobenius 30 |
 head -1`) ends the run quietly with exit code 0.  A new --out file, or
 a regular one, is written beside it and moved onto it once the command
 has completed (see _open_out), so a failed run leaves it as it was.
-A streamed as-descending run that fails after its first batch (exit 3
-or 4) leaves on stdout the whole batches written before the failure, a
-prefix of the answer that ends at a line end; any other failed run
-writes nothing to stdout.
+A run that writes records and fails after its first batch (exit 3 or
+4), in this process or in the child, leaves on stdout the whole batches
+written before the failure, a prefix of the answer that ends at a line
+end; any other failed run writes nothing to stdout.
 
 Each command imports only the modules it runs (see _cmd_enumerate): a
 request is one short process, and its start is most of its time.
@@ -109,8 +116,25 @@ def _emit_result(nodes, edges, args, out) -> None:
         lines = [*(f'{{"type": {t}, "count": {n}}}' for t, n in sorted(counts.items())),
                  f'{{"total": {sum(counts.values())}}}']
     else:
-        lines = starmap(_node_record, nodes)
+        _write_records(nodes, out)
+        return
     _write(lines, out)
+
+
+def _write_records(nodes, out) -> None:
+    """Write the record of each node, through _write.  The first batch is
+    formatted and written here.  The rest of a longer answer is produced
+    in a forked child while this process formats and writes its records
+    (pipeline.consume_forked), so that the walk or compute_stats and the
+    formatting run on two CPUs."""
+    nodes = iter(nodes)
+    first = list(islice(nodes, _WRITE_BATCH + 1))
+    _write(starmap(_node_record, first[:_WRITE_BATCH]), out)
+    if len(first) > _WRITE_BATCH:
+        # imported here: an answer of one batch does not run it
+        from .pipeline import consume_forked
+        consume_forked(chain(first[_WRITE_BATCH:], nodes), _WRITE_BATCH,
+                       lambda received: _write(starmap(_node_record, received), out))
 
 
 def _dot_label(S: Semigroup) -> str:
@@ -206,8 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
         if mode in ("irreducible", "as-descending"):
             rendering.add_argument("--dot", action="store_true")
         p.add_argument("--threads", type=int, default=1, help=(
-            "must be >= 1; every command runs in one thread (kept for "
-            "acceptance criterion 10)"))
+            "must be >= 1; a no-op (kept for acceptance criterion 10): "
+            "records of an answer above one batch are produced in one "
+            "forked process and written in this one"))
         p.add_argument("--out", default=None)
 
     bench = sub.add_parser("bench", help="timing comparison of the algorithms")

@@ -12,7 +12,10 @@ AS semigroup of type t - 2 exactly when t - 1 <= x <= m(S') - 1 and
 x + s for each nonzero s in S' must lie in S', i.e. x is in PF(S'); 2x
 must lie in S'; and then every kx + s = x + ((k - 1)x + s) does, by
 induction on k.  So the candidates are the bits of PF(S') in
-[t - 1, min(m(S'), F)) whose bit 2x in the gap mask is clear.
+[t - 1, min(m(S'), F)) outside E(S') = {x : 2x is a gap of S'}.  Each
+node carries E as a fifth mask: M(F) has E = {1..floor(F/2)}, and
+adjoining x removes x from the gaps, so the child's E is E(S') without
+x/2 when x is even.  (b) is then one AND for all candidates of a node.
 Then PF shrinks by {x, F - x} and the child's multiplicity is x.
 The child's minimal generators are x and those of S' that are not x plus
 a nonzero member of the child (any new sum involves x).
@@ -62,33 +65,34 @@ def descend(F: int, t: int) -> Iterator[tuple[int, int, int, int]]:
     # masks that test them need bits 1..2F+1 only.
     members = (2 << (2 * F + 1)) - 2
     root = (1 << (F + 1)) - 2  # M(F): gaps = pf = {1..F}, msg = {F+1..2F+1}
-    # buckets[x]: the nodes of multiplicity x reached so far
-    buckets = [[] for _ in range(F + 1)] + [[(root, members & ~root, root, F + 1)]]
+    # buckets[x]: the nodes of multiplicity x reached so far, each with
+    # its mask E = {x : 2x is a gap} after the four fields it yields
+    buckets = [[] for _ in range(F + 1)] + [
+        [(root, members & ~root, root, F + 1, (1 << (F // 2 + 1)) - 2)]]
     for mult in range(F + 1, 0, -1):
         bucket = buckets.pop()
         if len({node[0] for node in bucket}) != len(bucket):
             raise RuntimeError("descending enumeration produced a semigroup twice")
-        for ga, msg, pf, m in bucket:
+        for ga, msg, pf, m, half in bucket:
             yield ga, msg, pf, m
             # a node of type t has the candidates x from t - 1 on; x = F is
             # excluded (adjoining F would change the Frobenius number), so
             # they end below min(m, F).  (b): the special gaps x of the
-            # parent, PF bits with 2x a member.  A node of the target type
-            # is a leaf of this walk.
+            # parent, PF bits outside E.  A node of the target type is a
+            # leaf of this walk.
             lo = pf.bit_count() - 1
-            window = (pf & ((1 << min(m, F)) - 1)) >> lo if lo >= target else 0
+            window = (pf & ~half & ((1 << min(m, F)) - 1)) >> lo if lo >= target else 0
             while window:
                 low = window & -window
                 window ^= low
                 x = lo + low.bit_length() - 1
-                if ga >> 2 * x & 1:
-                    continue
                 ga1 = ga & ~(1 << x)
                 pf1 = pf & ~(1 << x) & ~(1 << (F - x))
                 # (c): sums pf1 + x must avoid the child gaps (sums > F are members)
                 if (pf1 << x) & ga1:
                     continue
-                buckets[x].append((ga1, (msg & ~((members ^ ga1) << x)) | 1 << x, pf1, x))
+                buckets[x].append((ga1, (msg & ~((members ^ ga1) << x)) | 1 << x, pf1, x,
+                                   half if x & 1 else half & ~(1 << x // 2)))
         # after M(F)'s bucket, if M(F) was expanded (F > target)
         if mult > F > target and [node[0] for node in buckets[F - 1]] != [root & ~(1 << (F - 1))]:
             raise RuntimeError("M(F) must have the single child with gaps {1..F} \\ {F-1}")

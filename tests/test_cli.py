@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import select
 import subprocess
 import sys
 import time
@@ -17,10 +18,11 @@ from hypothesis import given, strategies as st
 import almostsym
 import almostsym.bench
 from almostsym import cli, compute_stats, from_gaps, from_generators
+from almostsym.ascending import as_all_ascending
 from almostsym.cli import main
 from almostsym.descending import as_all_descending, as_down_to_type
 from almostsym.irreducible import enumerate_irreducible
-from almostsym.oracle import all_with_frobenius
+from almostsym.oracle import all_with_frobenius, oracle_as
 
 # the directory holding the package, for CLI runs in a fresh interpreter
 PACKAGE_ROOT = str(Path(almostsym.__file__).resolve().parent.parent)
@@ -57,6 +59,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def no_child_left():
+    """True when this process has no child, running or unreaped: a run
+    that forks the record pipeline reaps its child on every path."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def test_info_gens(capsys):
@@ -226,6 +238,24 @@ def test_determinism_across_threads(capsys):
     assert outputs[:half] == outputs[half:]
 
 
+# answers below and above one write batch in every mode: the larger ones
+# go through the record pipeline, from a forked child
+@pytest.mark.parametrize("mode, F, answer", [
+    ("as-descending", 11, as_all_descending), ("as-descending", 30, as_all_descending),
+    ("as-ascending", 11, as_all_ascending), ("as-ascending", 30, as_all_ascending),
+    ("oracle", 14, oracle_as), ("oracle", 25, oracle_as),
+    ("irreducible", 20, enumerate_irreducible), ("irreducible", 48, enumerate_irreducible),
+])
+def test_records_are_the_collected_answer(capsys, tmp_path, mode, F, answer):
+    expected = "".join(reference_record(S) + "\n" for S in answer(F))
+    assert (expected.count("\n") > cli._WRITE_BATCH) == (F in (25, 30, 48))
+    assert run(capsys, mode, "--frobenius", str(F)) == (0, expected, "")
+    target = tmp_path / "f.json"
+    assert run(capsys, mode, "--frobenius", str(F), "--out", str(target)) == (0, "", "")
+    assert target.read_text() == expected
+    assert no_child_left()
+
+
 def test_min_type_ascending_enumerates_irreducibles_once(capsys, monkeypatch):
     import almostsym.ascending
     import almostsym.irreducible
@@ -341,7 +371,7 @@ def test_duplicate_is_internal_error(capsys, monkeypatch):
 
 
 def test_same_output_under_python_O():
-    argv = ("as-descending", "--frobenius", "20")
+    argv = ("as-descending", "--frobenius", "30")
     outputs = []
     for flags in ((), ("-O",)):
         proc = cli_process(*argv, python_flags=flags, stdout=subprocess.PIPE)
@@ -349,7 +379,7 @@ def test_same_output_under_python_O():
         assert proc.returncode == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
-    assert outputs[0].count(b"\n") == 103  # AS semigroups with F = 20
+    assert outputs[0].count(b"\n") == 821  # AS semigroups with F = 30
 
 
 class CountingWriter(io.StringIO):
@@ -371,6 +401,7 @@ def test_records_written_in_batches(monkeypatch):
     assert len(records) > cli._WRITE_BATCH
     assert out.getvalue() == "".join(line + "\n" for line in records)
     assert out.writes == -(-len(records) // cli._WRITE_BATCH)
+    assert no_child_left()
 
 
 def test_dot_written_in_batches(monkeypatch):
@@ -406,23 +437,29 @@ def test_streamed_descent_writes_the_collected_answer(capsys):
 
 
 def test_records_are_written_while_the_walk_runs(monkeypatch):
+    # the walk ends in the forked child, which says so with a byte on a
+    # pipe that each write polls
     walk = almostsym.descending.descend
-    walked = []
+    ended, walked = os.pipe()
 
     def watched(F, t):
         yield from walk(F, t)
-        walked.append(True)
+        os.write(walked, b"x")
 
     finished = []  # per write: had the walk ended before it
 
     class Watching(io.StringIO):
         def write(self, text):
-            finished.append(bool(walked))
+            finished.append(bool(select.select([ended], [], [], 0)[0]))
             return super().write(text)
 
     monkeypatch.setattr(almostsym.descending, "descend", watched)
     monkeypatch.setattr(sys, "stdout", Watching())
-    assert main(["as-descending", "--frobenius", "30"]) == 0
+    try:
+        assert main(["as-descending", "--frobenius", "30"]) == 0
+    finally:
+        os.close(ended)
+        os.close(walked)
     assert finished[0] is False and finished[-1] is True
 
 
@@ -454,6 +491,7 @@ def test_failure_mid_stream_leaves_a_line_aligned_prefix(capsys, monkeypatch, tm
     assert err == "internal error: descending enumeration produced a semigroup twice\n"
     assert out.endswith("\n") and expected.startswith(out) and out != expected
     assert out.count("\n") % cli._WRITE_BATCH == 0
+    assert no_child_left()
 
     assert run(capsys, *argv, "--count-only")[:2] == (4, "")
     target = tmp_path / "f.json"
@@ -475,6 +513,31 @@ def test_closed_pipe_ends_quietly():
     assert proc.wait(timeout=120) == 0
     assert json.loads(first)["frobenius"] == 30
     assert err == b""
+
+
+def test_closed_pipe_after_the_first_batch_reaps_the_child(capfd, monkeypatch):
+    # the reader goes away after the first batch, while the child is still
+    # sending: the answer at F = 48 (1.8 MB of frames) overfills its pipe.
+    # The run ends quietly, with no child left, and the child writes nothing.
+    class ClosedAfterFirstBatch(io.StringIO):
+        def fileno(self):
+            return devnull
+
+        def write(self, text):
+            if self.tell():
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+            return super().write(text)
+
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    out = ClosedAfterFirstBatch()
+    monkeypatch.setattr(sys, "stdout", out)
+    try:
+        assert main(["as-descending", "--frobenius", "48"]) == 0
+    finally:
+        os.close(devnull)
+    assert out.getvalue().count("\n") == cli._WRITE_BATCH
+    assert no_child_left()
+    assert capfd.readouterr().err == ""
 
 
 def test_record_matches_reference_up_to_f18():
@@ -524,6 +587,14 @@ WRONG_ANSWER_OF_RIGHT_SIZE = (
     "almostsym.bench._ALGORITHMS['descending'] = lambda F: EnumerationResult.collect(\n"
     "    [S for S in all_with_frobenius(F) if S.gaps != (1, 2, 3, 4, 5)],\n"
     "    'descending', 0)")
+# the descent fails after 300 nodes, so in the child that the record
+# pipeline forked once the first 256 records were written
+FAULT_IN_CHILD = ("import itertools, almostsym.descending\n"
+                  "walk = almostsym.descending.descend\n"
+                  "def fail(F, t):\n"
+                  "    yield from itertools.islice(walk(F, t), 300)\n"
+                  "    {}\n"
+                  "almostsym.descending.descend = fail")
 FAIL_AFTER_OUTPUT = ("emit = almostsym.cli._emit_result\n"
                      "def emit_then_fail(*args):\n"
                      "    emit(*args)\n"
@@ -583,6 +654,16 @@ FAIL_AFTER_OUTPUT = ("emit = almostsym.cli._emit_result\n"
                      "--out", "/dev/full"], FAIL_AFTER_OUTPUT,
                  b"internal error: failed after its output",
                  marks=NEEDS_DEV_FULL, id="failed-with-output-buffered"),
+    # a failure in the forked child keeps its exit code; a child that dies
+    # without a word is an internal failure.  --out takes the records, so
+    # stdout stays empty.
+    pytest.param(3, ["as-descending", "--frobenius", "30", "--out", os.devnull],
+                 FAULT_IN_CHILD.format("raise MemoryError"), b"error: out of memory\n",
+                 id="out-of-memory-in-child"),
+    pytest.param(4, ["as-descending", "--frobenius", "30", "--out", os.devnull],
+                 FAULT_IN_CHILD.format("import os, signal; os.kill(os.getpid(), signal.SIGKILL)"),
+                 b"internal error: the record process ended before its answer\n",
+                 id="child-killed"),
     # one rendering per request: the two flags exclude each other
     pytest.param(2, ["as-descending", "--frobenius", "11", "--count-only",
                      "--dot"], "", b"usage: ", id="count-only-and-dot"),
@@ -766,6 +847,13 @@ def test_start_up_loads_only_what_the_command_runs():
 
     loaded = modules_after("as-descending", "--frobenius", "10", "--count-only")
     assert loaded & ALGORITHM_MODULES == {"almostsym.descending"}
+
+    # an answer of one batch of records loads what its count loads; the
+    # record pipeline, and fcntl with it, load only once it forks
+    small = modules_after("as-descending", "--frobenius", "10")
+    assert small == loaded and not small & {"almostsym.pipeline", "fcntl"}
+    assert {"almostsym.pipeline", "fcntl"} <= modules_after("as-descending",
+                                                           "--frobenius", "30")
 
     # the bench keeps plain rows: no dataclasses, and with them no inspect
     loaded = modules_after("bench", "--frobenius-list", "5")
