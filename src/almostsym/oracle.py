@@ -13,12 +13,18 @@ once.  The search shares no logic with core or with either algorithm;
 nothing is cached.  It is exponential in F: F is limited to
 DEFAULT_F_MAX, the one place that states the limit (bench leaves out
 the F the oracle refuses).
+
+The almost-symmetry test reads the search's masks alone.  oracle_as
+computes PF(S), the gaps x with x + s a member for every member s > 0,
+from each gap mask, and keeps S iff L(S) = {x gap : F - x gap} lies in
+PF(S), the definition (Barucci & Fröberg 1997; Nari 2013).  It calls
+neither classify nor compute_stats, so a fault in either cannot move
+the oracle's answer together with an algorithm's.
 """
 
 from __future__ import annotations
 
-from .core import EnumerationResult, InvalidParameters, LimitExceeded, Semigroup, compute_stats
-from .classify import is_almost_symmetric
+from .core import EnumerationResult, InvalidParameters, LimitExceeded, Semigroup, _bits, _reverse
 
 DEFAULT_F_MAX = 28
 
@@ -60,8 +66,18 @@ def all_with_frobenius(F: int) -> EnumerationResult:
 
 def oracle_as(F: int, t: int | None = None) -> EnumerationResult:
     """Almost symmetric semigroups with Frobenius number F, optionally
-    restricted to type t (acceptance criteria 4 and 5 ask for one type)."""
-    base = all_with_frobenius(F)
-    sems = [S for S in base if is_almost_symmetric(S)
-            and (t is None or compute_stats(S).type_ == t)]
+    restricted to type t (acceptance criteria 4 and 5 ask for one type),
+    decided by the definition on each gap mask G of the search.  A gap x
+    is covered when x + s is a gap for some member s < F, so PF(S) is
+    G & ~covered; S is kept iff every gap x with F - x a gap, the bits of
+    G & reverse(G), is pseudo-Frobenius, and, when t is given, PF(S)
+    has t elements."""
+    sems = []
+    for S in all_with_frobenius(F):
+        G = S.mask
+        covered = 0
+        for s in _bits(~G & ((1 << F) - 2)):
+            covered |= G >> s
+        if not G & _reverse(G) & covered and (t is None or (G & ~covered).bit_count() == t):
+            sems.append(S)
     return EnumerationResult.collect(sems, "oracle", 0)

@@ -22,7 +22,7 @@ from almostsym.ascending import as_all_ascending
 from almostsym.cli import main
 from almostsym.descending import as_all_descending, as_down_to_type
 from almostsym.irreducible import enumerate_irreducible
-from almostsym.oracle import all_with_frobenius, oracle_as
+from almostsym.oracle import DEFAULT_F_MAX, all_with_frobenius, oracle_as
 
 # the directory holding the package, for CLI runs in a fresh interpreter
 PACKAGE_ROOT = str(Path(almostsym.__file__).resolve().parent.parent)
@@ -124,7 +124,7 @@ def test_as_descending_5(capsys):
 
 
 def test_oracle_limit(capsys):
-    code, _, err = run(capsys, "oracle", "--frobenius", "30")
+    code, _, err = run(capsys, "oracle", "--frobenius", str(DEFAULT_F_MAX + 1))
     assert code == 3
 
 
@@ -679,7 +679,8 @@ FAIL_AFTER_OUTPUT = ("emit = almostsym.cli._emit_result\n"
     pytest.param(2, ["bench", "--frobenius-list", "5", "--threads", "1"], "",
                  b"usage: ", id="bench-threads"),
     # every F is above the oracle's limit, so no pair is timed
-    pytest.param(3, ["bench", "--frobenius-list", "29", "--algorithms", "oracle"],
+    pytest.param(3, ["bench", "--frobenius-list", str(DEFAULT_F_MAX + 1),
+                     "--algorithms", "oracle"],
                  "", b"error: nothing to time", id="bench-times-nothing"),
 ])
 def test_exit_code(code, argv, fault, message):
@@ -847,6 +848,10 @@ def test_start_up_loads_only_what_the_command_runs():
 
     loaded = modules_after("as-descending", "--frobenius", "10", "--count-only")
     assert loaded & ALGORITHM_MODULES == {"almostsym.descending"}
+
+    # the oracle decides on its own masks, without classify
+    oracle = modules_after("oracle", "--frobenius", "10", "--count-only")
+    assert oracle & ALGORITHM_MODULES == {"almostsym.oracle"}
 
     # an answer of one batch of records loads what its count loads; the
     # record pipeline, and fcntl with it, load only once it forks

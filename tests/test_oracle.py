@@ -1,8 +1,10 @@
 import pytest
 
+import almostsym.classify
+import almostsym.core
 from almostsym import ClosureViolation, InvalidParameters, LimitExceeded, from_gaps
 from almostsym.ascending import as_all_ascending
-from almostsym.descending import as_all_descending
+from almostsym.descending import as_all_descending, descend
 from almostsym.oracle import DEFAULT_F_MAX, _scan_range, all_with_frobenius, oracle_as
 
 
@@ -75,8 +77,24 @@ def test_closure_check_agrees_with_from_gaps():
 
 
 def test_three_algorithms_agree_beyond_criterion_4():
-    # all types at once, where criterion 4 stops at F = 14
-    for F in range(15, 27):
+    # all types at once, where criterion 4 stops at F = 14, up to the cap
+    for F in range(15, DEFAULT_F_MAX + 1):
         orc = oracle_as(F).gap_sets()
         assert as_all_ascending(F).gap_sets() == orc, F
         assert as_all_descending(F).gap_sets() == orc, F
+
+
+def test_oracle_decides_without_compute_stats(monkeypatch):
+    # the oracle reads PF from its own gap masks: with compute_stats gone
+    # from core and classify it still gives the descent's answer for each
+    # type, in canonical order (the descent carries its own stats)
+    def refuse(S):
+        raise AssertionError("compute_stats called")
+
+    monkeypatch.setattr(almostsym.core, "compute_stats", refuse)
+    monkeypatch.setattr(almostsym.classify, "compute_stats", refuse)
+    for F in range(1, 21):
+        nodes = list(descend(F, 1))
+        for t in range(1, F + 2):
+            assert [S.mask for S in oracle_as(F, t)] == [
+                node[0] for node in nodes if node[2].bit_count() == t], (F, t)
