@@ -17,7 +17,8 @@ longer bring it to k(min).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from itertools import chain
 
 from .core import EnumerationResult, InvalidParameters, Semigroup, _bits
 from .classify import is_irreducible
@@ -87,26 +88,52 @@ def _remove(S: Semigroup, A: tuple[int, ...]) -> Semigroup:
     return Semigroup._from_mask(mask)
 
 
-def _ascend(F: int, min_type: int, max_type: int | None,
-            irr: EnumerationResult | None = None) -> EnumerationResult:
-    """S' \\ A for every irreducible S' (irr, else I(F)) and every removal
-    set A of S' whose size gives a type in [min_type, max_type], the
-    bounds rounded inward to the parity of F; empty, without enumerating
-    the irreducibles, when no type is in range.  Each S' is walked once
-    for removal sets of every size from k(min_type) up to k(max_type)."""
+def _walk(irr: Iterator[Semigroup], kmin: int, kmax: int) -> Iterator[Semigroup]:
+    """S' \\ A for each S' taken from irr, in turn, and each removal set
+    A of S' with kmin <= |A| <= kmax, in the order of _removal_sets.  An
+    S' is taken from irr only when the walk reaches it, so a caller that
+    suspends the walk finds the irreducibles not yet started left in
+    irr."""
+    for Sp in irr:
+        for A in _removal_sets(Sp, kmin, kmax):
+            yield _remove(Sp, A)
+
+
+def _start(F: int, min_type: int, max_type: int | None,
+           irr: Iterable[Semigroup] | None = None
+           ) -> tuple[Iterator[Semigroup], Iterator[Semigroup], int]:
+    """(irreducibles, walk, depth): the walk (_walk) of the irreducibles
+    (irr, else I(F)) for the types in [min_type, max_type], the bounds
+    rounded inward to the parity of F, the iterator of the irreducibles
+    that it takes each S' from, and k(max_type).  Both are empty, depth
+    0 and I(F) not enumerated, when no type is in range."""
     if F < 1 or min_type < 1:
         raise InvalidParameters("F and min_type must be >= 1")
     lo = min_type + (F - min_type) % 2
     hi = F if max_type is None else min(max_type, F)
     hi -= (F - hi) % 2
-    if lo > hi:
-        return EnumerationResult.collect((), "ascending", 0)
-    if irr is None:
-        irr = enumerate_irreducible(F)
     kmin, kmax = (lo + 1) // 2 - 1, (hi + 1) // 2 - 1
-    return EnumerationResult.collect(
-        [_remove(Sp, A) for Sp in irr for A in _removal_sets(Sp, kmin, kmax)],
-        "ascending", kmax)
+    if lo > hi:
+        irr, kmax = (), 0
+    elif irr is None:
+        irr = enumerate_irreducible(F)
+    irr = iter(irr)
+    return irr, _walk(irr, kmin, kmax), kmax
+
+
+def _ascend(F: int, min_type: int, max_type: int | None,
+            irr: Iterable[Semigroup] | None = None,
+            head: Iterable[Semigroup] = ()) -> EnumerationResult:
+    """S' \\ A for every irreducible S' (irr, else I(F)) and every removal
+    set A of S' whose size gives a type in [min_type, max_type] (see
+    _start), collected with the semigroups of head (a walk of this answer
+    already made); empty, without enumerating the irreducibles, when no
+    type is in range.  Each S' is walked once for removal sets of every
+    size from k(min_type) up to k(max_type).  irr and head are iterated
+    once, so irr may be an iterator that hands out irreducibles as the
+    walk asks for them."""
+    _, walk, depth = _start(F, min_type, max_type, irr)
+    return EnumerationResult.collect(chain(head, walk), "ascending", depth)
 
 
 def as_with_type(F: int, t: int, *,

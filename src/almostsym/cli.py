@@ -22,25 +22,30 @@ records are written as they come; every other request collects its
 answer first.  Every line, of `info` and the `bench` table too, goes
 through one batched writer (_write).
 
-Records run as a two-process pipeline (_write_records, pipeline): the
-first batch is written here, and a longer answer forks one child that
-produces the rest of the nodes (the walk, or compute_stats of the
-collected answer) while this process formats and writes their records.
-An answer of one batch, --count-only and --dot stay in one process, and
---threads is a no-op.
+Records of an answer above one batch run in forked processes
+(pipeline) while this process formats and writes them.  as-ascending
+walks until it has more than one batch, then hands the rest of its walk
+to two workers, which claim the irreducibles not yet started from one
+queue and each send their share, collected, as compute_stats nodes; this
+process merges the two streams into canonical order.  Every other mode
+writes its first batch here and forks one child that produces the rest
+of the nodes (the descent walk, or compute_stats of the collected
+answer).  An answer of one batch, --count-only and --dot stay in one
+process, and --threads is a no-op.
 
 Exit codes: 0 success, 2 invalid parameters or an output (stdout or
 --out) that fails, stdout closed at start included, 3 resource limit
 (F above core.INPUT_F_MAX in any mode, a bench that has no pair to
-time, or memory exhausted), 4 internal invariant failure.  A reader
-that closes stdout early (`almostsym as-descending --frobenius 30 |
-head -1`) ends the run quietly with exit code 0.  A new --out file, or
-a regular one, is written beside it and moved onto it once the command
-has completed (see _open_out), so a failed run leaves it as it was.
+time, memory exhausted, or a process that cannot be forked), 4 internal
+invariant failure.  A reader that closes stdout early (`almostsym
+as-descending --frobenius 30 | head -1`) ends the run quietly with exit
+code 0.  A new --out file, or a regular one, is written beside it and
+moved onto it once the command has completed (see _open_out), so a
+failed run leaves it as it was.
 A run that writes records and fails after its first batch (exit 3 or
-4), in this process or in the child, leaves on stdout the whole batches
-written before the failure, a prefix of the answer that ends at a line
-end; any other failed run writes nothing to stdout.
+4), in this process or in a forked one, leaves on stdout the whole
+batches written before the failure, a prefix of the answer that ends at
+a line end; any other failed run writes nothing to stdout.
 
 Each command imports only the modules it runs (see _cmd_enumerate): a
 request is one short process, and its start is most of its time.
@@ -133,7 +138,7 @@ def _write_records(nodes, out) -> None:
     if len(first) > _WRITE_BATCH:
         # imported here: an answer of one batch does not run it
         from .pipeline import consume_forked
-        consume_forked(chain(first[_WRITE_BATCH:], nodes), _WRITE_BATCH,
+        consume_forked([lambda: chain(first[_WRITE_BATCH:], nodes)], _WRITE_BATCH,
                        lambda received: _write(starmap(_node_record, received), out))
 
 
@@ -176,8 +181,17 @@ def _cmd_enumerate(args, out) -> None:
         from .irreducible import enumerate_irreducible
         result = enumerate_irreducible(F)
     elif mode == "as-ascending":
-        from .ascending import as_all_ascending
-        result = as_all_ascending(F, t, args.type)
+        from .ascending import _ascend, _start
+        irr, walk, _ = _start(F, t, args.type)
+        first = list(islice(walk, _WRITE_BATCH + 1))
+        if len(first) > _WRITE_BATCH and not args.count_only:
+            # two workers walk the rest; the walk yields only the types asked
+            from .pipeline import consume_claimed
+            consume_claimed(list(irr), chain(first, walk), lambda head, claimed: map(
+                compute_stats, _ascend(F, t, args.type, claimed, head)),
+                _WRITE_BATCH, lambda received: _write(starmap(_node_record, received), out))
+            return
+        result = _ascend(F, t, args.type, (), chain(first, walk))
     elif mode == "as-descending":
         from .descending import as_down_to_type
         result = as_down_to_type(F, t, with_edges=True)
@@ -231,8 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
             rendering.add_argument("--dot", action="store_true")
         p.add_argument("--threads", type=int, default=1, help=(
             "must be >= 1; a no-op (kept for acceptance criterion 10): "
-            "records of an answer above one batch are produced in one "
-            "forked process and written in this one"))
+            "records of an answer above one batch are produced in forked "
+            "processes (two workers for as-ascending, one child otherwise) "
+            "and written in this one"))
         p.add_argument("--out", default=None)
 
     bench = sub.add_parser("bench", help="timing comparison of the algorithms")

@@ -5,11 +5,12 @@ integers containing 0 with finite complement.  The complement (the "gaps")
 is a finite set of positive integers and identifies S uniquely.  It is
 held as one integer, the gap mask, with bit x set iff x is a gap:
 equality and hashing compare masks, and the invariants are computed with
-word operations on it.  EnumerationResult.collect alone orders results
-in canonical order (see _canonical_key) and checks them.
+word operations on it.  EnumerationResult.collect alone sorts results
+into canonical order (see _canonical_key) and checks them; the record
+pipeline merges streams already in that order on the same key.
 
 This module owns every encoding of a mask (_bits, _list_text,
-_canonical_key), each read a byte at a time through a table.
+_mask_key), each read a byte at a time through a table.
 
 Every command line start imports this module, so it imports only `math`
 and `collections`: Stats and TreeEdge are named tuples and
@@ -121,14 +122,19 @@ _KEY_BYTES = bytes(_row(0, 255, lambda cell, b: cell - (128 >> b)))
 
 def _canonical_key(S: Semigroup) -> bytes:
     """Sort key giving lexicographic order of gap tuples among semigroups
-    with one Frobenius number F: the gap mask's little-endian bytes, each
-    translated through _KEY_BYTES.  Every such tuple ends in F, so none is
-    a prefix of another, and at the lowest bit p where two masks differ
-    the tuple with gap p is the smaller.  The masks have one byte length,
-    so their keys compare byte by byte from the low end; in the first
-    differing byte, bit p maps to the highest bit where the two entries
-    differ, clear in the entry of the mask with gap p: its key is smaller."""
-    mask = S.mask
+    with one Frobenius number F: _mask_key of the gap mask."""
+    return _mask_key(S.mask)
+
+
+def _mask_key(mask: int) -> bytes:
+    """The canonical sort key of the gap mask `mask`: its little-endian
+    bytes, each translated through _KEY_BYTES.  Every gap tuple with
+    Frobenius number F ends in F, so none is a prefix of another, and at
+    the lowest bit p where two masks differ the tuple with gap p is the
+    smaller.  The masks have one byte length, so their keys compare byte
+    by byte from the low end; in the first differing byte, bit p maps to
+    the highest bit where the two entries differ, clear in the entry of
+    the mask with gap p: its key is smaller."""
     return mask.to_bytes((mask.bit_length() + 7) // 8, "little").translate(_KEY_BYTES)
 
 

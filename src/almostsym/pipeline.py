@@ -1,17 +1,36 @@
-"""The two-process record pipeline of the command line: a stream of
-nodes (tuples of ints, as descent nodes and core.Stats are) produced in
-a forked child and consumed in the process that forked it, so that
-producing and consuming run on two CPUs.
+"""The record pipeline of the command line: streams of nodes (tuples of
+ints, as descent nodes and core.Stats are) produced in forked children
+and consumed in the process that forked them, so that producing and
+consuming run on more than one CPU.
 
-The child sends the nodes through one pipe in frames: 8 bytes of length,
-then marshal.dumps of a list of plain tuples (marshal.dumps of a whole
-frame, and marshal.loads of it here, cost far less than marshal.load
-from the pipe object by object).  The last frame is () when the stream
-has ended, or (index in _CARRIED or -1, message) when it raised, so that
-the exception is raised again here, of its kind, and the command keeps
-its exit code.  A stream that ends without its last frame (the child
-died) raises RuntimeError here.  A one-way stream cannot deadlock: the
-child blocks only on a full pipe, which this process empties or closes.
+consume_forked forks one child per stream, such as one that continues
+a stream already started, and merges two or more streams, each in
+canonical order, on the canonical key of their gap masks (heapq.merge)
+before it consumes them.  consume_claimed forks _WORKERS workers that
+share a list of work items through one claim queue and each send their
+own stream.
+
+Each child sends its nodes through a pipe of its own in frames: 8 bytes
+of length, then marshal.dumps of a list of plain tuples (marshal.dumps
+of a whole frame, and marshal.loads of it here, cost far less than
+marshal.load from the pipe object by object).  The last frame is () when
+the stream has ended, or (index in _CARRIED or -1, message) when it
+raised, so that the exception is raised again here, of its kind, and
+the command keeps its exit code.  A stream that ends without its last
+frame (the child died) raises RuntimeError here, and so does a node that
+arrives from two workers.  A one-way stream cannot deadlock: a child
+blocks only on a full pipe, which this process empties or closes.
+
+The claim queue is a pipe filled with every token before the fork and
+closed for writing, so a claim never blocks: it reads one token or the
+end of the queue.  A token is the index of a block of items, one item
+per block while the tokens fit the pipe's size, more when they do not.
+
+A process that cannot be forked is a resource limit (LimitExceeded).  A
+failure of this process's own pipes is an internal one (RuntimeError),
+never the BrokenPipeError of a reader that went away.  Once a run fails,
+this process closes every pipe and kills the children; on every path it
+reaps each child it started.
 
 Only a command whose answer outgrows one write batch imports this
 module.
@@ -24,46 +43,130 @@ import marshal
 import os
 from itertools import islice
 
-# The size asked for the child's pipe: a full pipe stops the child, and
+from .core import LimitExceeded, _mask_key
+
+# The size asked for each child's pipe: a full pipe stops the child, and
 # the default 64 KiB stops it far too often.
 PIPE_SIZE = 1 << 20
 # The exceptions that an error frame carries by kind; any other one
 # arrives as RuntimeError.
 _CARRIED = (MemoryError, RuntimeError)
+# The workers of consume_claimed, and the bytes of one claim token.
+_WORKERS = 2
+_TOKEN = 4
+# POSIX's number of SIGKILL: the signal module takes a millisecond to
+# import, which every answer above one batch would pay.
+_SIGKILL = 9
 
 
-def consume_forked(nodes, frame: int, consume) -> None:
-    """Fork a child that takes the nodes from the iterator `nodes` and
-    sends them here, `frame` nodes per frame, and call consume on an
-    iterator of the nodes received, which raises what the child raised.
-    A frame cut short by a failure is not sent, so a consumer that
-    writes frame-sized batches writes every batch produced before it.
-    The child ends in os._exit on every path: it must not unwind through
-    the caller, whose cleanup (such as removing a staging file) belongs
-    to this process, nor flush the output buffers it inherited.  It ends
-    quietly when this process stops reading.  This process closes the
-    pipe, so that a child blocked on it ends, and reaps the child on
-    every path."""
+def consume_forked(makers, frame: int, consume) -> None:
+    """Fork one child per maker, each sending here the nodes of maker(),
+    `frame` nodes per frame, and call consume on an iterator of the nodes
+    received: the one stream, or the merge of the streams.  It raises
+    what a child raised.  A frame cut short by a failure is not sent, so
+    a consumer that writes frame-sized batches writes every batch
+    produced before it.  The pipes are closed and the children reaped on
+    every path; the children of a run that failed are killed first,
+    since one that is still walking would notice the closed pipe only at
+    its next frame."""
+    children = []  # (pid, pipe) of each child started
+    completed = False
+    try:
+        for maker in makers:
+            children.append(_fork(maker, frame, [pipe for _, pipe in children]))
+        streams = [_receive(pipe) for _, pipe in children]
+        consume(streams[0] if len(streams) == 1 else _merge(streams))
+        completed = True
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if not completed:
+                os.kill(pid, _SIGKILL)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+
+
+def consume_claimed(items: list, head, share, frame: int, consume) -> None:
+    """Fork _WORKERS workers that claim the items from one queue, and
+    call consume on the merge of their streams, in canonical order of
+    the gap masks (node[0]).  Worker i sends, `frame` nodes per frame,
+    the nodes of share(head, claimed) for worker 0 and share((), claimed)
+    for the others, with claimed an iterator of the items that the
+    worker claims as it takes them; each worker's nodes must be in
+    canonical order, and no node may come from two workers."""
+    rfd, wfd = os.pipe()
+    try:
+        try:
+            block = _fill(wfd, len(items))
+        finally:
+            os.close(wfd)
+        consume_forked([lambda i=i: share(() if i else head, _claims(rfd, items, block))
+                        for i in range(_WORKERS)], frame, consume)
+    finally:
+        os.close(rfd)
+
+
+def _fill(fd: int, count: int) -> int:
+    """Write to the empty pipe fd one token per block of the `count`
+    items, and return the block size: one, unless the tokens would not
+    fit the pipe at once.  The write does not block; if the pipe takes
+    less than all the tokens, RuntimeError."""
+    try:
+        capacity = fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
+    except (AttributeError, OSError):  # not Linux
+        capacity = 512  # POSIX's least PIPE_BUF
+    block = max(1, -(-count // (capacity // _TOKEN)))
+    tokens = b"".join(i.to_bytes(_TOKEN, "little") for i in range(0, count, block))
+    try:
+        os.set_blocking(fd, False)
+        if tokens and os.write(fd, tokens) != len(tokens):
+            raise RuntimeError("the claim queue took only part of its tokens")
+    except OSError as exc:
+        raise RuntimeError(f"cannot fill the claim queue: {exc}") from None
+    return block
+
+
+def _claims(fd: int, items: list, block: int):
+    """In a worker: the items of each block it claims from the queue on
+    fd, until the queue is empty."""
+    while token := os.read(fd, _TOKEN):
+        if len(token) != _TOKEN:
+            raise RuntimeError("a claim token was split")
+        start = int.from_bytes(token, "little")
+        yield from items[start:start + block]
+
+
+def _fork(maker, frame: int, inherited: list):
+    """Fork a child that sends the nodes of maker() through a new pipe,
+    and return (its pid, the pipe's read end).  The child closes the
+    read ends in `inherited`, those of the children forked before it,
+    and ends in os._exit on every path: it must not unwind through the
+    caller, whose cleanup (such as removing a staging file) belongs to
+    this process, nor flush the output buffers it inherited.  It ends
+    quietly when this process stops reading."""
     rfd, wfd = os.pipe()
     try:
         fcntl.fcntl(wfd, fcntl.F_SETPIPE_SZ, PIPE_SIZE)
     except (AttributeError, OSError):  # not Linux, or above the system's limit
         pass
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(rfd)
+        os.close(wfd)
+        raise LimitExceeded(f"cannot start a process: {exc.strerror or exc}") from None
     if pid == 0:
         status = 1
         try:
             os.close(rfd)
-            _produce(nodes, frame, wfd)
+            for pipe in inherited:
+                pipe.close()
+            _produce(maker, frame, wfd)
             status = 0
         finally:
             os._exit(status)
     os.close(wfd)
-    try:
-        with open(rfd, "rb") as pipe:
-            consume(_receive(pipe))
-    finally:
-        os.waitpid(pid, 0)
+    return pid, open(rfd, "rb")
 
 
 def _send(fd: int, payload) -> None:
@@ -74,9 +177,10 @@ def _send(fd: int, payload) -> None:
         view = view[os.write(fd, view):]
 
 
-def _produce(nodes, frame: int, fd: int) -> None:
-    """In the child: send the nodes, then the last frame."""
+def _produce(maker, frame: int, fd: int) -> None:
+    """In the child: send the nodes of maker(), then the last frame."""
     try:
+        nodes = iter(maker())
         while batch := list(map(tuple, islice(nodes, frame))):
             _send(fd, batch)
         end = ()
@@ -94,17 +198,33 @@ def _produce(nodes, frame: int, fd: int) -> None:
 def _receive(pipe):
     """Yield the nodes of the frames read from pipe, and raise the
     exception that an error frame carries, or RuntimeError if the stream
-    ends without its last frame."""
-    while len(head := pipe.read(8)) == 8:
-        size = int.from_bytes(head, "little")
-        if len(data := pipe.read(size)) < size:
-            break
-        received = marshal.loads(data)
-        if isinstance(received, list):
-            yield from received
-        elif not received:
-            return
-        else:
-            kind, message = received
-            raise (_CARRIED[kind] if kind >= 0 else RuntimeError)(message)
+    ends without its last frame or the pipe cannot be read."""
+    try:
+        while len(head := pipe.read(8)) == 8:
+            size = int.from_bytes(head, "little")
+            if len(data := pipe.read(size)) < size:
+                break
+            received = marshal.loads(data)
+            if isinstance(received, list):
+                yield from received
+            elif not received:
+                return
+            else:
+                kind, message = received
+                raise (_CARRIED[kind] if kind >= 0 else RuntimeError)(message)
+    except OSError as exc:
+        raise RuntimeError(f"cannot read the record process: {exc}") from None
     raise RuntimeError("the record process ended before its answer")
+
+
+def _merge(streams):
+    """The nodes of the streams, each in canonical order, merged into
+    canonical order; RuntimeError when one gap mask arrives twice."""
+    import heapq  # here: a single stream needs no merge
+
+    last = None
+    for node in heapq.merge(*streams, key=lambda node: _mask_key(node[0])):
+        if node[0] == last:
+            raise RuntimeError("two record processes produced one semigroup")
+        last = node[0]
+        yield node

@@ -149,3 +149,20 @@ def test_given_irreducibles_are_not_recomputed(monkeypatch):
 
     monkeypatch.setattr(almostsym.ascending, "enumerate_irreducible", refuse)
     assert as_with_type(11, 7, _irreducibles=irr).gap_sets() == A_11_7
+
+
+def test_irreducibles_are_iterated_once_as_the_walk_reaches_them():
+    # a suspended walk leaves the irreducibles not yet started in its
+    # iterator, and the answer does not depend on how I(F) is split
+    from almostsym.ascending import _ascend, _start
+
+    for F in (20, 21, 30):
+        irr, walk, depth = _start(F, 1, None)
+        first = [next(walk) for _ in range(40)]
+        rest = list(irr)
+        assert 0 < len(rest) < len(enumerate_irreducible(F))
+        split = _ascend(F, 1, None, iter(rest[1::2]), [*first, *walk])
+        other = _ascend(F, 1, None, iter(rest[0::2]))
+        assert split.depth == other.depth == depth
+        assert sorted(split.semigroups + other.semigroups, key=lambda S: S.gaps) == \
+            list(as_all_ascending(F).semigroups)

@@ -540,6 +540,172 @@ def test_closed_pipe_after_the_first_batch_reaps_the_child(capfd, monkeypatch):
     assert capfd.readouterr().err == ""
 
 
+def ascending_records(F, min_type=1, max_type=None):
+    """The records of as_all_ascending(F, min_type, max_type), one line
+    each, as _node_record writes them."""
+    return "".join(cli._node_record(*compute_stats(S)) + "\n"
+                   for S in as_all_ascending(F, min_type, max_type))
+
+
+# as-ascending hands every answer above one batch to two workers that
+# claim the irreducibles from one queue; the parent merges their streams
+@pytest.mark.parametrize("F", [30, 36, 40, 44, 48])
+def test_ascending_split_is_the_collected_answer(capsys, tmp_path, F):
+    expected = ascending_records(F)
+    assert expected.count("\n") > cli._WRITE_BATCH
+    types = [json.loads(line)["type"] for line in expected.splitlines()]
+    common = max(set(types), key=types.count)  # the largest one-type answer
+    argv = ["as-ascending", "--frobenius", str(F)]
+    assert run(capsys, *argv) == (0, expected, "")
+    for window, answer in ((["--min-type", "3"], ascending_records(F, 3)),
+                           (["--type", str(common)], ascending_records(F, common, common))):
+        assert run(capsys, *argv, *window) == (0, answer, "")
+    counts = "".join(f'{{"type": {t}, "count": {types.count(t)}}}\n'
+                     for t in sorted(set(types)))
+    assert run(capsys, *argv, "--count-only") == \
+        (0, counts + f'{{"total": {len(types)}}}\n', "")
+    target = tmp_path / "f.json"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_text() == expected
+    assert no_child_left()
+
+
+def test_ascending_workers_walk_each_irreducible_once(capsys, monkeypatch, tmp_path):
+    # every walk of an irreducible's removal sets, in the parent or in a
+    # worker, appends "pid mask" to one log
+    import almostsym.ascending
+
+    expected = ascending_records(40)
+    log = tmp_path / "walks"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def logged(S, kmin, kmax, _walk=almostsym.ascending._removal_sets):
+        os.write(fd, f"{os.getpid()} {S.mask}\n".encode())
+        return _walk(S, kmin, kmax)
+
+    monkeypatch.setattr(almostsym.ascending, "_removal_sets", logged)
+    try:
+        assert run(capsys, "as-ascending", "--frobenius", "40") == (0, expected, "")
+    finally:
+        os.close(fd)
+    walks = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(mask for _, mask in walks) == \
+        sorted(str(S.mask) for S in enumerate_irreducible(40))
+    # the parent walks until it has more than one batch, the workers the rest
+    pids = [int(pid) for pid, _ in walks]
+    assert pids[0] == os.getpid() and set(pids) - {os.getpid()}
+    assert no_child_left()
+
+
+def failing_worker(statement):
+    """A replacement for ascending._removal_sets that runs `statement` in
+    any process but the one that made it: in a worker."""
+    import almostsym.ascending
+
+    walk, parent = almostsym.ascending._removal_sets, os.getpid()
+
+    def fail(S, kmin, kmax):
+        if os.getpid() != parent:
+            exec(statement)
+        return walk(S, kmin, kmax)
+
+    return fail
+
+
+@pytest.mark.parametrize("statement, code, err", [
+    ("raise MemoryError", 3, "error: out of memory\n"),
+    ("raise RuntimeError('failed in a worker')", 4, "internal error: failed in a worker\n"),
+    ("import signal; os.kill(os.getpid(), signal.SIGKILL)", 4,
+     "internal error: the record process ended before its answer\n"),
+], ids=["memory", "runtime", "killed"])
+def test_failed_ascending_worker_keeps_its_exit_code(capsys, monkeypatch, statement,
+                                                     code, err):
+    # the parent writes nothing before both workers have sorted their share
+    import almostsym.ascending
+
+    monkeypatch.setattr(almostsym.ascending, "_removal_sets", failing_worker(statement))
+    assert run(capsys, "as-ascending", "--frobenius", "40") == (code, "", err)
+    assert no_child_left()
+
+
+def test_merge_of_streams_that_share_a_node_raises():
+    from almostsym.pipeline import _merge
+
+    nodes = [tuple(compute_stats(S)) for S in as_all_ascending(20)]
+    assert list(_merge([iter(nodes[0::2]), iter(nodes[1::2])])) == nodes
+    shared = nodes[5]
+    with pytest.raises(RuntimeError, match="two record processes"):
+        list(_merge([iter(nodes[:6]), iter(nodes[5:])]))
+    assert shared in nodes[:6] and shared in nodes[5:]
+
+
+def test_claim_queue_never_blocks():
+    # the tokens of any number of items fit the pipe: a token covers a
+    # block of items when one per item would not fit
+    from almostsym.pipeline import _claims, _fill
+
+    for count in (0, 1, 411, 10**6):
+        rfd, wfd = os.pipe()
+        try:
+            try:
+                block = _fill(wfd, count)
+            finally:
+                os.close(wfd)
+            items = list(range(count))
+            assert list(_claims(rfd, items, block)) == items
+            assert (block > 1) == (count == 10**6)
+        finally:
+            os.close(rfd)
+
+
+def test_broken_pipes_of_the_parent_are_internal_failures():
+    # not the quiet exit of a reader that went away: exit 4
+    from almostsym.pipeline import _fill, _receive
+
+    rfd, wfd = os.pipe()
+    os.close(rfd)
+    try:
+        with pytest.raises(RuntimeError, match="claim queue"):
+            _fill(wfd, 10)
+    finally:
+        os.close(wfd)
+
+    class BrokenFramePipe:
+        def read(self, size):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    with pytest.raises(RuntimeError, match="cannot read the record process"):
+        list(_receive(BrokenFramePipe()))
+
+
+@pytest.mark.parametrize("argv, forks", [
+    (["as-descending", "--frobenius", "30"], 0),
+    (["as-ascending", "--frobenius", "30"], 0),
+    (["as-ascending", "--frobenius", "30"], 1),
+], ids=["descending-first", "ascending-first", "ascending-second"])
+def test_failed_fork_closes_its_pipes_and_reaps_the_workers(capsys, monkeypatch,
+                                                           argv, forks):
+    # the fork after `forks` successful ones fails: a resource limit
+    fork, started = os.fork, []
+
+    def failing_fork():
+        if len(started) == forks:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        pid = fork()
+        started.append(pid)
+        return pid
+
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+    monkeypatch.setattr(os, "fork", failing_fork)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (3, f"error: cannot start a process: {os.strerror(errno.EAGAIN)}\n")
+    assert out.count("\n") == (cli._WRITE_BATCH if argv[0] == "as-descending" else 0)
+    assert len(started) == forks
+    assert no_child_left()
+    if fds is not None:
+        assert os.listdir("/proc/self/fd") == fds
+
+
 def test_record_matches_reference_up_to_f18():
     checked = 0
     for F in range(1, 19):
@@ -595,6 +761,15 @@ FAULT_IN_CHILD = ("import itertools, almostsym.descending\n"
                   "    yield from itertools.islice(walk(F, t), 300)\n"
                   "    {}\n"
                   "almostsym.descending.descend = fail")
+# os.fork fails with EAGAIN after {} successful forks
+FAIL_FORK = ("import errno, os\n"
+             "fork, forks = os.fork, []\n"
+             "def failing_fork():\n"
+             "    if len(forks) == {}:\n"
+             "        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))\n"
+             "    forks.append(fork())\n"
+             "    return forks[-1]\n"
+             "os.fork = failing_fork")
 FAIL_AFTER_OUTPUT = ("emit = almostsym.cli._emit_result\n"
                      "def emit_then_fail(*args):\n"
                      "    emit(*args)\n"
@@ -664,6 +839,14 @@ FAIL_AFTER_OUTPUT = ("emit = almostsym.cli._emit_result\n"
                  FAULT_IN_CHILD.format("import os, signal; os.kill(os.getpid(), signal.SIGKILL)"),
                  b"internal error: the record process ended before its answer\n",
                  id="child-killed"),
+    # a process that cannot be forked is a resource limit: the first fork
+    # of the record pipeline, or the second worker of as-ascending
+    pytest.param(3, ["as-descending", "--frobenius", "30", "--out", os.devnull],
+                 FAIL_FORK.format(0), b"error: cannot start a process: ",
+                 id="first-fork-fails"),
+    pytest.param(3, ["as-ascending", "--frobenius", "30", "--out", os.devnull],
+                 FAIL_FORK.format(1), b"error: cannot start a process: ",
+                 id="second-fork-fails"),
     # one rendering per request: the two flags exclude each other
     pytest.param(2, ["as-descending", "--frobenius", "11", "--count-only",
                      "--dot"], "", b"usage: ", id="count-only-and-dot"),
@@ -859,6 +1042,11 @@ def test_start_up_loads_only_what_the_command_runs():
     assert small == loaded and not small & {"almostsym.pipeline", "fcntl"}
     assert {"almostsym.pipeline", "fcntl"} <= modules_after("as-descending",
                                                            "--frobenius", "30")
+    # as-ascending sizes its answer by walking: 546 irreducibles, but an
+    # answer of 27 records, stays in one process
+    assert "almostsym.pipeline" not in modules_after(
+        "as-ascending", "--frobenius", "43", "--min-type", "33")
+    assert "almostsym.pipeline" in modules_after("as-ascending", "--frobenius", "30")
 
     # the bench keeps plain rows: no dataclasses, and with them no inspect
     loaded = modules_after("bench", "--frobenius-list", "5")
