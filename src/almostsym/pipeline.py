@@ -23,8 +23,12 @@ blocks only on a full pipe, which this process empties or closes.
 
 The claim queue is a pipe filled with every token before the fork and
 closed for writing, so a claim never blocks: it reads one token or the
-end of the queue.  A token is the index of a block of items, one item
-per block while the tokens fit the pipe's size, more when they do not.
+end of the queue.  A token is one byte, the index of a block of
+ceil(n/_BLOCKS) of the n items (_BLOCKS = 256): one item per block up to
+256 items, and never more than 256 tokens.  So the queue is one write of
+at most 256 bytes into an empty pipe.  POSIX makes a write of at most
+PIPE_BUF bytes (512 or more) whole, and an empty pipe has room for that
+many, so the write neither waits nor stops short.
 
 A process that cannot be forked is a resource limit (LimitExceeded).  A
 failure of this process's own pipes is an internal one (RuntimeError),
@@ -51,9 +55,10 @@ PIPE_SIZE = 1 << 20
 # The exceptions that an error frame carries by kind; any other one
 # arrives as RuntimeError.
 _CARRIED = (MemoryError, RuntimeError)
-# The workers of consume_claimed, and the bytes of one claim token.
+# The workers of consume_claimed, and the most blocks its claim queue
+# hands out: one token byte each, well within the least PIPE_BUF.
 _WORKERS = 2
-_TOKEN = 4
+_BLOCKS = 256
 # POSIX's number of SIGKILL: the signal module takes a millisecond to
 # import, which every answer above one batch would pay.
 _SIGKILL = 9
@@ -107,20 +112,13 @@ def consume_claimed(items: list, head, share, frame: int, consume) -> None:
 
 
 def _fill(fd: int, count: int) -> int:
-    """Write to the empty pipe fd one token per block of the `count`
-    items, and return the block size: one, unless the tokens would not
-    fit the pipe at once.  The write does not block; if the pipe takes
-    less than all the tokens, RuntimeError."""
+    """Write to the empty pipe fd one token byte per block of the `count`
+    items, at most _BLOCKS tokens, and return the block size,
+    ceil(count/_BLOCKS).  The one write of at most _BLOCKS bytes is whole
+    and does not wait (see the module docstring)."""
+    block = max(1, -(-count // _BLOCKS))
     try:
-        capacity = fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
-    except (AttributeError, OSError):  # not Linux
-        capacity = 512  # POSIX's least PIPE_BUF
-    block = max(1, -(-count // (capacity // _TOKEN)))
-    tokens = b"".join(i.to_bytes(_TOKEN, "little") for i in range(0, count, block))
-    try:
-        os.set_blocking(fd, False)
-        if tokens and os.write(fd, tokens) != len(tokens):
-            raise RuntimeError("the claim queue took only part of its tokens")
+        os.write(fd, bytes(range(-(-count // block))))
     except OSError as exc:
         raise RuntimeError(f"cannot fill the claim queue: {exc}") from None
     return block
@@ -128,11 +126,9 @@ def _fill(fd: int, count: int) -> int:
 
 def _claims(fd: int, items: list, block: int):
     """In a worker: the items of each block it claims from the queue on
-    fd, until the queue is empty."""
-    while token := os.read(fd, _TOKEN):
-        if len(token) != _TOKEN:
-            raise RuntimeError("a claim token was split")
-        start = int.from_bytes(token, "little")
+    fd, one token byte a claim, until the queue is empty."""
+    while token := os.read(fd, 1):
+        start = token[0] * block
         yield from items[start:start + block]
 
 

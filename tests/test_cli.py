@@ -3,6 +3,7 @@ import errno
 import functools
 import inspect
 import io
+import itertools
 import json
 import math
 import os
@@ -570,12 +571,14 @@ def test_ascending_split_is_the_collected_answer(capsys, tmp_path, F):
     assert no_child_left()
 
 
-def test_ascending_workers_walk_each_irreducible_once(capsys, monkeypatch, tmp_path):
+# at F = 48 (410 irreducibles left to claim) each claim is a block of two
+@pytest.mark.parametrize("F", [40, 48])
+def test_ascending_workers_walk_each_irreducible_once(capsys, monkeypatch, tmp_path, F):
     # every walk of an irreducible's removal sets, in the parent or in a
     # worker, appends "pid mask" to one log
     import almostsym.ascending
 
-    expected = ascending_records(40)
+    expected = ascending_records(F)
     log = tmp_path / "walks"
     fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
@@ -585,12 +588,12 @@ def test_ascending_workers_walk_each_irreducible_once(capsys, monkeypatch, tmp_p
 
     monkeypatch.setattr(almostsym.ascending, "_removal_sets", logged)
     try:
-        assert run(capsys, "as-ascending", "--frobenius", "40") == (0, expected, "")
+        assert run(capsys, "as-ascending", "--frobenius", str(F)) == (0, expected, "")
     finally:
         os.close(fd)
     walks = [line.split() for line in log.read_text().splitlines()]
     assert sorted(mask for _, mask in walks) == \
-        sorted(str(S.mask) for S in enumerate_irreducible(40))
+        sorted(str(S.mask) for S in enumerate_irreducible(F))
     # the parent walks until it has more than one batch, the workers the rest
     pids = [int(pid) for pid, _ in walks]
     assert pids[0] == os.getpid() and set(pids) - {os.getpid()}
@@ -639,23 +642,56 @@ def test_merge_of_streams_that_share_a_node_raises():
     assert shared in nodes[:6] and shared in nodes[5:]
 
 
-def test_claim_queue_never_blocks():
-    # the tokens of any number of items fit the pipe: a token covers a
-    # block of items when one per item would not fit
-    from almostsym.pipeline import _claims, _fill
+def claim_queue(count):
+    """A pipe filled with the claim queue of `count` items and closed for
+    writing: (its read end, the block size)."""
+    from almostsym.pipeline import _fill
 
-    for count in (0, 1, 411, 10**6):
-        rfd, wfd = os.pipe()
+    rfd, wfd = os.pipe()
+    try:
+        return rfd, _fill(wfd, count)
+    except BaseException:
+        os.close(rfd)
+        raise
+    finally:
+        os.close(wfd)
+
+
+def test_claim_queue_never_blocks():
+    # the queue is at most 256 one-byte tokens, one write that fits any
+    # empty pipe: a token covers one item up to 256 items, a block above
+    from almostsym.pipeline import _claims
+
+    for count in (0, 1, 256, 257, 411, 10**6):
+        rfd, block = claim_queue(count)
         try:
-            try:
-                block = _fill(wfd, count)
-            finally:
-                os.close(wfd)
-            items = list(range(count))
-            assert list(_claims(rfd, items, block)) == items
-            assert (block > 1) == (count == 10**6)
+            assert len(os.read(rfd, 1024)) == -(-count // block) <= 256
         finally:
             os.close(rfd)
+        assert (block > 1) == (count > 256)
+        rfd, block = claim_queue(count)
+        try:
+            assert list(_claims(rfd, range(count), block)) == list(range(count))
+        finally:
+            os.close(rfd)
+
+
+@pytest.mark.parametrize("count", [7, 411])
+def test_two_readers_claim_every_item_once(count):
+    # two readers of one queue, advanced in turn (blocks of one item at
+    # 7, of two at 411): each claims its items in increasing order, and
+    # together they claim every item once
+    from almostsym.pipeline import _claims
+
+    rfd, block = claim_queue(count)
+    try:
+        turns = list(itertools.zip_longest(*(_claims(rfd, range(count), block)
+                                              for _ in range(2))))
+    finally:
+        os.close(rfd)
+    shares = [[item for item in share if item is not None] for share in zip(*turns)]
+    assert all(share == sorted(share) and share for share in shares)
+    assert sorted(shares[0] + shares[1]) == list(range(count))
 
 
 def test_broken_pipes_of_the_parent_are_internal_failures():
