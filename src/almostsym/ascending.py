@@ -101,12 +101,12 @@ def _walk(irr: Iterator[Semigroup], kmin: int, kmax: int) -> Iterator[Semigroup]
 
 def _start(F: int, min_type: int, max_type: int | None,
            irr: Iterable[Semigroup] | None = None
-           ) -> tuple[Iterator[Semigroup], Iterator[Semigroup], int]:
-    """(irreducibles, walk, depth): the walk (_walk) of the irreducibles
-    (irr, else I(F)) for the types in [min_type, max_type], the bounds
-    rounded inward to the parity of F, the iterator of the irreducibles
-    that it takes each S' from, and k(max_type).  Both are empty, depth
-    0 and I(F) not enumerated, when no type is in range."""
+           ) -> tuple[Iterator[Semigroup], Iterator[Semigroup]]:
+    """(irreducibles, walk): the walk (_walk) of the irreducibles (irr,
+    else I(F)) for the types in [min_type, max_type], the bounds rounded
+    inward to the parity of F, and the iterator of the irreducibles that
+    it takes each S' from.  Both are empty, and I(F) not enumerated,
+    when no type is in range."""
     if F < 1 or min_type < 1:
         raise InvalidParameters("F and min_type must be >= 1")
     lo = min_type + (F - min_type) % 2
@@ -114,11 +114,11 @@ def _start(F: int, min_type: int, max_type: int | None,
     hi -= (F - hi) % 2
     kmin, kmax = (lo + 1) // 2 - 1, (hi + 1) // 2 - 1
     if lo > hi:
-        irr, kmax = (), 0
+        irr = ()
     elif irr is None:
         irr = enumerate_irreducible(F)
     irr = iter(irr)
-    return irr, _walk(irr, kmin, kmax), kmax
+    return irr, _walk(irr, kmin, kmax)
 
 
 def _ascend(F: int, min_type: int, max_type: int | None,
@@ -132,8 +132,8 @@ def _ascend(F: int, min_type: int, max_type: int | None,
     size from k(min_type) up to k(max_type).  irr and head are iterated
     once, so irr may be an iterator that hands out irreducibles as the
     walk asks for them."""
-    _, walk, depth = _start(F, min_type, max_type, irr)
-    return EnumerationResult.collect(chain(head, walk), "ascending", depth)
+    _, walk = _start(F, min_type, max_type, irr)
+    return EnumerationResult.collect(chain(head, walk), "ascending")
 
 
 def as_with_type(F: int, t: int, *,

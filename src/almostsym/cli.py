@@ -182,7 +182,7 @@ def _cmd_enumerate(args, out) -> None:
         result = enumerate_irreducible(F)
     elif mode == "as-ascending":
         from .ascending import _ascend, _start
-        irr, walk, _ = _start(F, t, args.type)
+        irr, walk = _start(F, t, args.type)
         first = list(islice(walk, _WRITE_BATCH + 1))
         if len(first) > _WRITE_BATCH and not args.count_only:
             # two workers walk the rest; the walk yields only the types asked

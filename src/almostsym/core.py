@@ -6,7 +6,7 @@ is a finite set of positive integers and identifies S uniquely.  It is
 held as one integer, the gap mask, with bit x set iff x is a gap:
 equality and hashing compare masks, and the invariants are computed with
 word operations on it.  EnumerationResult.collect alone sorts results
-into canonical order (see _canonical_key) and checks them; the record
+into canonical order (see _mask_key) and checks them; the record
 pipeline merges streams already in that order on the same key.
 
 This module owns every encoding of a mask (_bits, _list_text,
@@ -118,12 +118,6 @@ def _reverse(mask: int) -> int:
 # Entry v is byte v with its bits reversed and complemented: from 255,
 # each set bit b of v clears bit 7 - b.
 _KEY_BYTES = bytes(_row(0, 255, lambda cell, b: cell - (128 >> b)))
-
-
-def _canonical_key(S: Semigroup) -> bytes:
-    """Sort key giving lexicographic order of gap tuples among semigroups
-    with one Frobenius number F: _mask_key of the gap mask."""
-    return _mask_key(S.mask)
 
 
 def _mask_key(mask: int) -> bytes:
@@ -356,33 +350,27 @@ class TreeEdge(namedtuple("TreeEdge", "parent child x")):
 
 
 class EnumerationResult:
-    """Enumeration output, built by collect; depth counts the tree
-    levels below the root.  Immutable by convention; equal, hashed and
-    printed field by field."""
+    """Enumeration output, built by collect: the semigroups of an answer
+    and the edges of its tree, if any, in canonical order.  Immutable by
+    convention; equal, hashed and printed field by field."""
 
-    __slots__ = ("semigroups", "algorithm", "depth", "edges")
+    __slots__ = ("semigroups", "edges")
 
-    def __init__(self, semigroups: tuple[Semigroup, ...], algorithm: str,
-                 depth: int, edges: tuple[TreeEdge, ...] = ()):
+    def __init__(self, semigroups: tuple[Semigroup, ...],
+                 edges: tuple[TreeEdge, ...] = ()):
         self.semigroups = semigroups
-        self.algorithm = algorithm
-        self.depth = depth
         self.edges = edges
-
-    def _values(self) -> tuple:
-        return self.semigroups, self.algorithm, self.depth, self.edges
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self.semigroups == other.semigroups and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash((self.semigroups, self.edges))
 
     def __repr__(self) -> str:
-        return (f"EnumerationResult(semigroups={self.semigroups!r}, "
-                f"algorithm={self.algorithm!r}, depth={self.depth!r}, edges={self.edges!r})")
+        return f"EnumerationResult(semigroups={self.semigroups!r}, edges={self.edges!r})"
 
     def __len__(self) -> int:
         return len(self.semigroups)
@@ -395,15 +383,16 @@ class EnumerationResult:
 
     @classmethod
     def collect(cls, semigroups: Iterable[Semigroup], algorithm: str,
-                depth: int, edges: Iterable[TreeEdge] = ()) -> "EnumerationResult":
-        """Sort distinct semigroups with one Frobenius number, and edges
-        by parent then x, into canonical order.  A duplicate, or a second
-        Frobenius number, is an invariant failure: RuntimeError."""
+                edges: Iterable[TreeEdge] = ()) -> "EnumerationResult":
+        """Sort distinct semigroups with one Frobenius number on the
+        _mask_key of their gap masks, and edges by parent then x, into
+        canonical order.  A duplicate, or a second Frobenius number, is
+        an invariant failure: RuntimeError naming `algorithm`."""
         raw = list(semigroups)
         if len({S.mask for S in raw}) != len(raw):
             raise RuntimeError(f"{algorithm} enumeration produced a semigroup twice")
         if len({S.frobenius for S in raw}) > 1:
             raise RuntimeError(f"{algorithm} enumeration mixed Frobenius numbers")
-        raw.sort(key=_canonical_key)
-        edges = sorted(edges, key=lambda e: (_canonical_key(e.parent), e.x))
-        return cls(tuple(raw), algorithm, depth, tuple(edges))
+        raw.sort(key=lambda S: _mask_key(S.mask))
+        edges = sorted(edges, key=lambda e: (_mask_key(e.parent.mask), e.x))
+        return cls(tuple(raw), tuple(edges))

@@ -24,7 +24,7 @@ Parent rule: every node S but M(F) has the one parent S \\ {m(S)}, gap
 mask S.mask | 1 << m(S), since the x adjoined last becomes m(S).  So
 the tree is a function of its nodes.
 
-Canonical order, walked: canonical order (core._canonical_key) is the
+Canonical order, walked: canonical order (core._mask_key) is the
 lexicographic order of gap tuples, and it sorts by multiplicity first,
 largest first.  Every gap tuple of a semigroup of multiplicity m starts
 1..m-1, and at index m-1 the semigroup with the larger m has the gap m
@@ -129,7 +129,7 @@ def as_down_to_type(F: int, t: int, *, with_edges: bool = False,
             if (parent := by_mask.get(S.mask | 1 << m)) is None:
                 raise RuntimeError(f"descending node {S} has no parent in the tree")
             edges.append(TreeEdge(parent, S, m))
-    return EnumerationResult.collect(sems, "descending", max(F - t, 0) // 2, edges)
+    return EnumerationResult.collect(sems, "descending", edges)
 
 
 def as_all_descending(F: int, *, verify: bool = False) -> EnumerationResult:

@@ -50,17 +50,14 @@ def enumerate_irreducible(F: int) -> EnumerationResult:
     found = [root]
     edges = []
     seen = {root.mask}
-    depth = 0
-    stack = [(root, 0)]
+    stack = [root]
     while stack:
-        node, d = stack.pop()
-        depth = max(depth, d)
-        children = irreducible_children(node)
+        children = irreducible_children(stack.pop())
         edges.extend(children)
         for edge in children:
             if edge.child.mask in seen:
                 raise RuntimeError(f"irreducible tree revisited {edge.child}")
             seen.add(edge.child.mask)
             found.append(edge.child)
-            stack.append((edge.child, d + 1))
-    return EnumerationResult.collect(found, "irreducible", depth, edges)
+            stack.append(edge.child)
+    return EnumerationResult.collect(found, "irreducible", edges)

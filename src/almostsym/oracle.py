@@ -61,7 +61,7 @@ def all_with_frobenius(F: int) -> EnumerationResult:
     if F > DEFAULT_F_MAX:
         raise LimitExceeded(f"oracle limited to F <= {DEFAULT_F_MAX}")
     masks = _scan_range(F, 0, 1 << (F - 1))
-    return EnumerationResult.collect(map(Semigroup._from_mask, masks), "oracle", 0)
+    return EnumerationResult.collect(map(Semigroup._from_mask, masks), "oracle")
 
 
 def oracle_as(F: int, t: int | None = None) -> EnumerationResult:
@@ -80,4 +80,4 @@ def oracle_as(F: int, t: int | None = None) -> EnumerationResult:
             covered |= G >> s
         if not G & _reverse(G) & covered and (t is None or (G & ~covered).bit_count() == t):
             sems.append(S)
-    return EnumerationResult.collect(sems, "oracle", 0)
+    return EnumerationResult.collect(sems, "oracle")

@@ -788,7 +788,7 @@ WRONG_ANSWER_OF_RIGHT_SIZE = (
     "from almostsym.oracle import all_with_frobenius\n"
     "almostsym.bench._ALGORITHMS['descending'] = lambda F: EnumerationResult.collect(\n"
     "    [S for S in all_with_frobenius(F) if S.gaps != (1, 2, 3, 4, 5)],\n"
-    "    'descending', 0)")
+    "    'descending')")
 # the descent fails after 300 nodes, so in the child that the record
 # pipeline forked once the first 256 records were written
 FAULT_IN_CHILD = ("import itertools, almostsym.descending\n"

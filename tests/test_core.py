@@ -8,7 +8,7 @@ import almostsym
 from almostsym import (ClosureViolation, EnumerationResult, LimitExceeded,
                        NotNumerical, Semigroup, Stats, TreeEdge, compute_stats,
                        from_gaps, from_generators)
-from almostsym.core import _canonical_key
+from almostsym.core import _mask_key
 from almostsym.descending import as_down_to_type
 from almostsym.oracle import all_with_frobenius
 
@@ -220,31 +220,31 @@ def test_stats_memoized_per_semigroup():
 def test_collect_rejects_duplicates():
     S = from_generators({3, 7})
     with pytest.raises(RuntimeError, match="twice"):
-        EnumerationResult.collect([S, from_gaps(S.gaps)], "test", 0)
+        EnumerationResult.collect([S, from_gaps(S.gaps)], "test")
 
 
 def test_collect_rejects_mixed_frobenius_numbers():
     with pytest.raises(RuntimeError, match="mixed Frobenius numbers"):
-        EnumerationResult.collect([from_gaps([1]), from_gaps([1, 2])], "test", 0)
+        EnumerationResult.collect([from_gaps([1]), from_gaps([1, 2])], "test")
 
 
 def test_collect_orders_lexicographically():
     # F = 7 -> 8 and 15 -> 16 add a byte to the gap masks
     for F in range(1, 17):
         sems = list(all_with_frobenius(F))
-        result = EnumerationResult.collect(reversed(sems), "test", 0)
+        result = EnumerationResult.collect(reversed(sems), "test")
         assert [S.gaps for S in result] == sorted(S.gaps for S in sems)
 
 
 @given(st.data())
-def test_canonical_key_orders_as_gap_tuples(data):
+def test_mask_key_orders_as_gap_tuples(data):
     # random gap masks with one top bit F and bit 0 clear; closure plays
     # no part in the order
     F = data.draw(st.integers(min_value=1, max_value=300), label="F")
     lows = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << F) - 1),
                               min_size=2, max_size=20), label="lows")
     sems = [Semigroup._from_mask(1 << F | low & ~1) for low in lows]
-    assert [S.gaps for S in sorted(sems, key=_canonical_key)] == \
+    assert [S.gaps for S in sorted(sems, key=lambda S: _mask_key(S.mask))] == \
         sorted(S.gaps for S in sems)
 
 
@@ -254,8 +254,7 @@ def test_collect_orders_edges_by_parent_then_x():
     # the descent of F = 12 has parents with several children, so the
     # reversed list has equal parents in decreasing x
     assert len({e.parent for e in edges}) < len(edges)
-    result = EnumerationResult.collect(tree.semigroups, "test", 0,
-                                       reversed(edges))
+    result = EnumerationResult.collect(tree.semigroups, "test", reversed(edges))
     assert [(e.parent.gaps, e.x) for e in result.edges] == \
         sorted((e.parent.gaps, e.x) for e in edges)
 
@@ -324,10 +323,12 @@ def test_value_classes_compare_hash_and_print_by_field():
     assert repr(edge) == ("TreeEdge(parent=Semigroup(gaps=[1, 2, 3, 5]), "
                           "child=Semigroup(gaps=[1, 3, 5]), x=2)")
 
-    result = EnumerationResult((S,), "test", 1)
-    assert result == EnumerationResult((from_gaps(S.gaps),), "test", 1, ())
-    assert result != EnumerationResult((S,), "test", 0)
+    result = EnumerationResult((S,))
+    assert result == EnumerationResult((from_gaps(S.gaps),), ())
+    assert hash(result) == hash(EnumerationResult((from_gaps(S.gaps),)))
+    assert result != EnumerationResult((S,), (edge,))
+    assert result != EnumerationResult((T,))
     # __eq__ returns NotImplemented for a non-result, so == is False
     assert result != (S,) and result.__eq__((S,)) is NotImplemented
     assert repr(result) == ("EnumerationResult(semigroups=(Semigroup(gaps=[1, 2, 3, 5]),), "
-                            "algorithm='test', depth=1, edges=())")
+                            "edges=())")

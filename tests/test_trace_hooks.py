@@ -9,7 +9,6 @@ from pathlib import Path
 
 import almostsym.oracle
 from almostsym import EnumerationResult
-from almostsym.descending import as_down_to_type
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -38,8 +37,3 @@ def test_collect_stays_a_classmethod():
     # kind of attribute drops the core.collect spans without a word
     assert isinstance(vars(EnumerationResult)["collect"], classmethod)
 
-
-def test_descent_depth_counts_levels():
-    # descending.levels sums the depth of each descent result: M(11) at
-    # type 11 and one level per type 9, 7, 5, 3, 1
-    assert as_down_to_type(11, 1).depth == 5

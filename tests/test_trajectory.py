@@ -1,0 +1,25 @@
+"""tests/trajectory.py over the committed BENCH_<pr>.json files."""
+
+import runpy
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent / "trajectory.py"
+
+
+def test_trajectory_chains_the_committed_bench_files(capsys):
+    # run_path compiles the source in memory: nothing is written beside it
+    trajectory = runpy.run_path(str(SCRIPT), run_name="trajectory")
+    root = trajectory["ROOT"]
+    ratios, nested = trajectory["read"](root)
+    assert nested == [14]
+    assert sorted([*ratios, *nested]) == sorted(
+        int(path.stem.removeprefix("BENCH_")) for path in root.glob("BENCH_*.json"))
+    through_20 = trajectory["chained"](ratios)[20]
+    assert {w: round(r, 3) for w, r in through_20.items()} == \
+        {"descend-f48": 0.053, "ascend-f48": 0.089, "typed-queries": 0.538}
+
+    trajectory["main"](root)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("no file: PR 1, 4, 5, 6, 11, 18")
+    assert lines[-1] == "left out, nested pair sets: PR 14"
+    assert [line.split()[0] for line in lines[2:-2]] == [str(pr) for pr in ratios]
