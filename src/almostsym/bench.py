@@ -5,9 +5,9 @@ numbers.
 The report is the plain JSON object that `bench --out` writes.  Each
 F and each algorithm may appear once in its list, and every F is at
 least 1 (InvalidParameters otherwise, before any pair is timed).  The
-answers at one F are compared as sets of gap masks, outside the timed
-span.  The oracle's F cap is its own (oracle.DEFAULT_F_MAX): a
-pair the oracle refuses is left out of the report.
+answers at one F, canonical results, are compared whole (==), outside
+the timed span.  The oracle's F cap is its own (oracle.DEFAULT_F_MAX):
+a pair the oracle refuses is left out of the report.
 """
 
 from __future__ import annotations
@@ -65,10 +65,9 @@ def run_bench(f_list=DEFAULT_F_LIST, algorithms=("ascending", "descending")) -> 
             elapsed = time.perf_counter() - start
             rows.append({"frobenius": F, "algorithm": name,
                          "seconds": elapsed, "count": len(result)})
-            answer = {S.mask for S in result}
             if expected is None:
-                expected = name, answer
-            elif answer != expected[1]:
+                expected = name, result
+            elif result != expected[1]:
                 raise RuntimeError(f"algorithms disagree at F={F}: "
                                    f"{expected[0]} and {name}")
     if not rows:

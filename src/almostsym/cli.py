@@ -3,8 +3,8 @@
 Subcommands: info, irreducible, as-ascending, as-descending, oracle, bench.
 Each enumeration mode answers "type >= t" with one library call, t taken
 from --type or --min-type (the two exclude each other), else 1
-(as-ascending also stops its scan at --type); the one type filter, in
-_emit_result, then selects the answer: type == --type or type >=
+(as-ascending also stops its scan at --type); the one type filter,
+_selected, then selects the answer: type == --type or type >=
 --min-type.  A --type or --min-type below 1 is invalid (exit 2) in every
 mode; a type above F, or of the other parity from F, is a valid question
 with an empty answer (exit 0).  The answer is rendered one way: one JSON
@@ -15,23 +15,23 @@ exclude each other).  A flag is declared only on the subcommands where
 it works, so argparse rejects any other use (exit 2).  The answer
 reaches _emit_result as nodes, mask tuples in the field order of
 core.Stats (gap, msg, PF, multiplicity): the descent's nodes, or the
-Stats of each collected semigroup.  One formatter (_node_record) writes
-each record from them.  as-descending without --dot streams:
-descending.descend yields its nodes in canonical order, and their
-records are written as they come; every other request collects its
-answer first.  Every line, of `info` and the `bench` table too, goes
-through one batched writer (_write).
+Stats of each collected semigroup.  Every record line is rendered there,
+in the process that writes it, by one formatter (_node_record).
+as-descending without --dot streams: descending.descend yields its nodes
+in canonical order, and their records are written as they come; every
+other request collects its answer first.  Every line, of `info` and the
+`bench` table too, goes through one batched writer (_write).
 
-Records of an answer above one batch run in forked processes
-(pipeline) while this process formats and writes them.  as-ascending
-walks until it has more than one batch, then hands the rest of its walk
-to two workers, which claim the irreducibles not yet started from one
-queue and each send their share, collected, as compute_stats nodes; this
-process merges the two streams into canonical order.  Every other mode
-writes its first batch here and forks one child that produces the rest
-of the nodes (the descent walk, or compute_stats of the collected
-answer).  An answer of one batch, --count-only and --dot stay in one
-process, and --threads is a no-op.
+Only a walk forks (pipeline), and this process formats and writes the
+records it sends.  as-descending writes the first batch of its streamed
+answer here, then forks one child that walks on and sends the rest of
+the selected nodes.  as-ascending walks until it has more than one
+batch, then hands the rest of its walk to two workers, which claim the
+irreducibles not yet started from one queue and each send their share,
+collected, as compute_stats nodes; this process merges the two streams
+into canonical order.  Every other answer (irreducible, oracle,
+as-descending --dot), an answer of one batch and --count-only stay in
+one process, and --threads is a no-op.
 
 Exit codes: 0 success, 2 invalid parameters or an output (stdout or
 --out) that fails, stdout closed at start included, 3 resource limit
@@ -76,11 +76,6 @@ def _node_record(gaps: int, msg: int, pf: int, m: int) -> str:
             f'"multiplicity": {m}}}')
 
 
-def _record(S: Semigroup) -> str:
-    """The JSON record of S."""
-    return _node_record(*compute_stats(S))
-
-
 # Lines per write.  print() makes two system calls per line when stdout is
 # unbuffered (python -u, PYTHONUNBUFFERED), and a reader on a pipe then
 # wakes up for every one of them.
@@ -99,16 +94,22 @@ def _int_list(text: str) -> list[int]:
         raise InvalidParameters(f"expected comma-separated integers, got {text!r}")
 
 
-def _emit_result(nodes, edges, args, out) -> None:
-    """Select the answer from the nodes (gap, msg and PF masks,
-    multiplicity), in canonical order, by the one type filter, render it
-    as records, as counts by type, or (--dot) as the tree edges into it,
-    and write it.  The nodes may be a stream: records are written as they
-    come."""
+def _selected(nodes, args):
+    """The nodes (gap, msg and PF masks, multiplicity) that the one type
+    filter keeps: type == --type, or type >= --min-type."""
     if args.type is not None:
-        nodes = (node for node in nodes if node[2].bit_count() == args.type)
-    elif args.min_type is not None:
-        nodes = (node for node in nodes if node[2].bit_count() >= args.min_type)
+        return (node for node in nodes if node[2].bit_count() == args.type)
+    if args.min_type is not None:
+        return (node for node in nodes if node[2].bit_count() >= args.min_type)
+    return nodes
+
+
+def _emit_result(nodes, edges, args, out) -> None:
+    """Select the answer from the nodes, in canonical order, render it as
+    records, as counts by type, or (--dot) as the tree edges into it, and
+    write it.  The nodes may be a stream: records are written as they
+    come."""
+    nodes = _selected(nodes, args)
     if args.dot:
         # every node but the root has one edge into it: drawn iff the node
         # is in the answer
@@ -121,25 +122,8 @@ def _emit_result(nodes, edges, args, out) -> None:
         lines = [*(f'{{"type": {t}, "count": {n}}}' for t, n in sorted(counts.items())),
                  f'{{"total": {sum(counts.values())}}}']
     else:
-        _write_records(nodes, out)
-        return
+        lines = starmap(_node_record, nodes)
     _write(lines, out)
-
-
-def _write_records(nodes, out) -> None:
-    """Write the record of each node, through _write.  The first batch is
-    formatted and written here.  The rest of a longer answer is produced
-    in a forked child while this process formats and writes its records
-    (pipeline.consume_forked), so that the walk or compute_stats and the
-    formatting run on two CPUs."""
-    nodes = iter(nodes)
-    first = list(islice(nodes, _WRITE_BATCH + 1))
-    _write(starmap(_node_record, first[:_WRITE_BATCH]), out)
-    if len(first) > _WRITE_BATCH:
-        # imported here: an answer of one batch does not run it
-        from .pipeline import consume_forked
-        consume_forked([lambda: chain(first[_WRITE_BATCH:], nodes)], _WRITE_BATCH,
-                       lambda received: _write(starmap(_node_record, received), out))
 
 
 def _dot_label(S: Semigroup) -> str:
@@ -162,7 +146,7 @@ def _cmd_info(args, out) -> None:
         S = from_generators(_int_list(args.gens))
     else:
         S = from_gaps(_int_list(args.gaps))
-    _write([_record(S)], out)
+    _write([_node_record(*compute_stats(S))], out)
 
 
 def _cmd_enumerate(args, out) -> None:
@@ -173,9 +157,19 @@ def _cmd_enumerate(args, out) -> None:
     _check_frobenius(F)
     t = args.type or args.min_type or 1
     if mode == "as-descending" and not args.dot:
-        # streamed: written in canonical order as the walk reaches it
+        # streamed: written in canonical order as the walk reaches it; the
+        # child filters, so that it sends only the answer
         from .descending import descend
-        _emit_result(descend(F, t), (), args, out)
+        nodes = _selected(descend(F, t), args)
+        first = list(islice(nodes, _WRITE_BATCH + 1))
+        if args.count_only or len(first) <= _WRITE_BATCH:
+            _emit_result(chain(first, nodes), (), args, out)
+            return
+        _emit_result(first[:_WRITE_BATCH], (), args, out)
+        # a child walks on while this process formats and writes
+        from .pipeline import consume_forked
+        consume_forked([lambda: chain(first[_WRITE_BATCH:], nodes)], _WRITE_BATCH,
+                       lambda received: _emit_result(received, (), args, out))
         return
     if mode == "irreducible":
         from .irreducible import enumerate_irreducible
@@ -189,7 +183,7 @@ def _cmd_enumerate(args, out) -> None:
             from .pipeline import consume_claimed
             consume_claimed(list(irr), chain(first, walk), lambda head, claimed: map(
                 compute_stats, _ascend(F, t, args.type, claimed, head)),
-                _WRITE_BATCH, lambda received: _write(starmap(_node_record, received), out))
+                _WRITE_BATCH, lambda received: _emit_result(received, (), args, out))
             return
         result = _ascend(F, t, args.type, (), chain(first, walk))
     elif mode == "as-descending":
@@ -245,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
             rendering.add_argument("--dot", action="store_true")
         p.add_argument("--threads", type=int, default=1, help=(
             "must be >= 1; a no-op (kept for acceptance criterion 10): "
-            "records of an answer above one batch are produced in forked "
-            "processes (two workers for as-ascending, one child otherwise) "
-            "and written in this one"))
+            "the records of an as-descending or as-ascending answer above "
+            "one batch are walked in forked processes (one child, or two "
+            "workers) and written in this one"))
         p.add_argument("--out", default=None)
 
     bench = sub.add_parser("bench", help="timing comparison of the algorithms")

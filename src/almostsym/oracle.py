@@ -17,9 +17,10 @@ the F the oracle refuses).
 The almost-symmetry test reads the search's masks alone.  oracle_as
 computes PF(S), the gaps x with x + s a member for every member s > 0,
 from each gap mask, and keeps S iff L(S) = {x gap : F - x gap} lies in
-PF(S), the definition (Barucci & Fröberg 1997; Nari 2013).  It calls
-neither classify nor compute_stats, so a fault in either cannot move
-the oracle's answer together with an algorithm's.
+PF(S), the definition (Barucci & Fröberg 1997; Nari 2013).  A rejected
+mask makes no Semigroup and no sort key: _search collects the kept ones
+once.  oracle_as calls neither classify nor compute_stats, so a fault
+in either cannot move the oracle's answer together with an algorithm's.
 """
 
 from __future__ import annotations
@@ -53,15 +54,22 @@ def _scan_range(F: int, lo: int, hi: int) -> list[int]:
     return found
 
 
-def all_with_frobenius(F: int) -> EnumerationResult:
-    """Every numerical semigroup with Frobenius number exactly F; F above
-    DEFAULT_F_MAX raises LimitExceeded."""
+def _search(F: int, keep) -> EnumerationResult:
+    """The semigroups with Frobenius number F whose gap mask G passes
+    keep(G), collected; F above DEFAULT_F_MAX raises LimitExceeded.  A
+    rejected mask makes no Semigroup."""
     if F < 1:
         raise InvalidParameters("F must be >= 1")
     if F > DEFAULT_F_MAX:
         raise LimitExceeded(f"oracle limited to F <= {DEFAULT_F_MAX}")
-    masks = _scan_range(F, 0, 1 << (F - 1))
-    return EnumerationResult.collect(map(Semigroup._from_mask, masks), "oracle")
+    return EnumerationResult.collect([Semigroup._from_mask(G) for G in _scan_range(
+        F, 0, 1 << (F - 1)) if keep(G)], "oracle")
+
+
+def all_with_frobenius(F: int) -> EnumerationResult:
+    """Every numerical semigroup with Frobenius number exactly F; F above
+    DEFAULT_F_MAX raises LimitExceeded."""
+    return _search(F, lambda G: True)
 
 
 def oracle_as(F: int, t: int | None = None) -> EnumerationResult:
@@ -72,12 +80,10 @@ def oracle_as(F: int, t: int | None = None) -> EnumerationResult:
     G & ~covered; S is kept iff every gap x with F - x a gap, the bits of
     G & reverse(G), is pseudo-Frobenius, and, when t is given, PF(S)
     has t elements."""
-    sems = []
-    for S in all_with_frobenius(F):
-        G = S.mask
+    def almost_symmetric(G: int) -> bool:
         covered = 0
         for s in _bits(~G & ((1 << F) - 2)):
             covered |= G >> s
-        if not G & _reverse(G) & covered and (t is None or (G & ~covered).bit_count() == t):
-            sems.append(S)
-    return EnumerationResult.collect(sems, "oracle")
+        return not G & _reverse(G) & covered and (t is None or (G & ~covered).bit_count() == t)
+
+    return _search(F, almost_symmetric)

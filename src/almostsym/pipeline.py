@@ -36,8 +36,8 @@ never the BrokenPipeError of a reader that went away.  Once a run fails,
 this process closes every pipe and kills the children; on every path it
 reaps each child it started.
 
-Only a command whose answer outgrows one write batch imports this
-module.
+Only as-descending and as-ascending import this module, and only once
+their walk outgrows one write batch.
 """
 
 from __future__ import annotations

@@ -1,6 +1,5 @@
 import argparse
 import errno
-import functools
 import inspect
 import io
 import itertools
@@ -45,7 +44,7 @@ def reference_record(S):
 
 
 def assert_record_matches(S):
-    line = cli._record(S)
+    line = cli._node_record(*compute_stats(S))
     assert line == reference_record(S)
     assert json.dumps(json.loads(line)) == line
 
@@ -239,8 +238,8 @@ def test_determinism_across_threads(capsys):
     assert outputs[:half] == outputs[half:]
 
 
-# answers below and above one write batch in every mode: the larger ones
-# go through the record pipeline, from a forked child
+# answers below and above one write batch in every mode: the larger
+# as-descending and as-ascending ones go through the record pipeline
 @pytest.mark.parametrize("mode, F, answer", [
     ("as-descending", 11, as_all_descending), ("as-descending", 30, as_all_descending),
     ("as-ascending", 11, as_all_ascending), ("as-ascending", 30, as_all_ascending),
@@ -260,11 +259,6 @@ def test_records_are_the_collected_answer(capsys, tmp_path, mode, F, answer):
 def test_min_type_ascending_enumerates_irreducibles_once(capsys, monkeypatch):
     import almostsym.ascending
     import almostsym.irreducible
-    import almostsym.oracle
-
-    # the oracle answers every type question of one F from one scan
-    monkeypatch.setattr(almostsym.oracle, "all_with_frobenius",
-                        functools.cache(almostsym.oracle.all_with_frobenius))
 
     calls = []
 
@@ -420,8 +414,8 @@ def test_streamed_descent_writes_the_collected_answer(capsys):
     # as-descending streams the walk; the other modes collect, then render
     for F in range(1, 31):
         def collected(t, keep):
-            return "".join(cli._record(S) + "\n" for S in as_down_to_type(F, t)
-                           if keep(compute_stats(S).type_))
+            return "".join(cli._node_record(*compute_stats(S)) + "\n"
+                           for S in as_down_to_type(F, t) if keep(compute_stats(S).type_))
 
         assert run(capsys, "as-descending", "--frobenius", str(F)) == \
             (0, collected(1, lambda u: True), "")
@@ -742,6 +736,23 @@ def test_failed_fork_closes_its_pipes_and_reaps_the_workers(capsys, monkeypatch,
         assert os.listdir("/proc/self/fd") == fds
 
 
+@pytest.mark.parametrize("mode, F, answer", [
+    ("irreducible", 48, enumerate_irreducible), ("oracle", 25, oracle_as),
+])
+def test_collected_answers_are_written_without_a_fork(capsys, monkeypatch, mode, F,
+                                                      answer):
+    # an answer above one batch that is collected before it is rendered
+    # needs no child, so a fork that would fail is never asked for
+    def failing_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    expected = "".join(reference_record(S) + "\n" for S in answer(F))
+    assert expected.count("\n") > cli._WRITE_BATCH
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert run(capsys, mode, "--frobenius", str(F)) == (0, expected, "")
+    assert no_child_left()
+
+
 def test_record_matches_reference_up_to_f18():
     checked = 0
     for F in range(1, 19):
@@ -754,7 +765,7 @@ def test_record_matches_reference_up_to_f18():
 def test_record_of_naturals():
     S = from_gaps([])
     assert_record_matches(S)
-    assert json.loads(cli._record(S)) == {
+    assert json.loads(cli._node_record(*compute_stats(S))) == {
         "gaps": [], "msg": [1], "pf": [], "frobenius": -1, "genus": 0,
         "type": 0, "multiplicity": 1}
 
@@ -1083,6 +1094,10 @@ def test_start_up_loads_only_what_the_command_runs():
     assert "almostsym.pipeline" not in modules_after(
         "as-ascending", "--frobenius", "43", "--min-type", "33")
     assert "almostsym.pipeline" in modules_after("as-ascending", "--frobenius", "30")
+    # collected answers above one batch (411 and 494 records) are written
+    # by the process that collected them
+    for argv in (["irreducible", "--frobenius", "48"], ["oracle", "--frobenius", "25"]):
+        assert not modules_after(*argv) & {"almostsym.pipeline", "fcntl"}
 
     # the bench keeps plain rows: no dataclasses, and with them no inspect
     loaded = modules_after("bench", "--frobenius-list", "5")

@@ -2,7 +2,8 @@ import pytest
 
 import almostsym.classify
 import almostsym.core
-from almostsym import ClosureViolation, InvalidParameters, LimitExceeded, from_gaps
+from almostsym import (ClosureViolation, EnumerationResult, InvalidParameters, LimitExceeded,
+                       Semigroup, from_gaps)
 from almostsym.ascending import as_all_ascending
 from almostsym.descending import as_all_descending, descend
 from almostsym.oracle import DEFAULT_F_MAX, _scan_range, all_with_frobenius, oracle_as
@@ -97,3 +98,28 @@ def test_oracle_decides_without_compute_stats(monkeypatch):
         for t in range(1, F + 2):
             assert [S.mask for S in oracle_as(F, t)] == [
                 node[0] for node in nodes if node[2].bit_count() == t], (F, t)
+
+
+def test_oracle_as_makes_only_the_semigroups_it_keeps(monkeypatch):
+    # the definition is decided on the search's masks: a rejected mask
+    # makes no Semigroup, and the kept ones are collected once
+    made, collected = [], []
+    from_mask = Semigroup._from_mask.__func__
+    collect = EnumerationResult.collect.__func__
+
+    def counted_from_mask(cls, *args):
+        made.append(args[0])
+        return from_mask(cls, *args)
+
+    def counted_collect(cls, *args):
+        collected.append(args[1])
+        return collect(cls, *args)
+
+    monkeypatch.setattr(Semigroup, "_from_mask", classmethod(counted_from_mask))
+    monkeypatch.setattr(EnumerationResult, "collect", classmethod(counted_collect))
+    for F in range(10, 21):
+        made.clear()
+        collected.clear()
+        answer = oracle_as(F)
+        assert len(answer) > 0 and len(made) == len(answer), F
+        assert collected == ["oracle"], F

@@ -10,16 +10,20 @@ def test_trajectory_chains_the_committed_bench_files(capsys):
     # run_path compiles the source in memory: nothing is written beside it
     trajectory = runpy.run_path(str(SCRIPT), run_name="trajectory")
     root = trajectory["ROOT"]
-    ratios, nested = trajectory["read"](root)
+    ratios, nested, lines = trajectory["read"](root)
     assert nested == [14]
     assert sorted([*ratios, *nested]) == sorted(
         int(path.stem.removeprefix("BENCH_")) for path in root.glob("BENCH_*.json"))
     through_20 = trajectory["chained"](ratios)[20]
     assert {w: round(r, 3) for w, r in through_20.items()} == \
         {"descend-f48": 0.053, "ascend-f48": 0.089, "typed-queries": 0.538}
+    assert {pr: lines[pr] for pr in (19, 20, 21)} == {19: 917, 20: 908, 21: 898}
 
     trajectory["main"](root)
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[-2].startswith("no file: PR 1, 4, 5, 6, 11, 18")
-    assert lines[-1] == "left out, nested pair sets: PR 14"
-    assert [line.split()[0] for line in lines[2:-2]] == [str(pr) for pr in ratios]
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split()[-1] == "code_lines"
+    assert out[-2].startswith("no file: PR 1, 4, 5, 6, 11, 18")
+    assert out[-1] == "left out, nested pair sets: PR 14"
+    rows = [line.split() for line in out[2:-2]]
+    assert [row[0] for row in rows] == [str(pr) for pr in ratios]
+    assert [row[-1] for row in rows] == [str(lines.get(pr, "-")) for pr in ratios]

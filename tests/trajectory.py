@@ -6,7 +6,10 @@ workload, with each side's median of every end-to-end metric.  Medians
 taken in different PRs do not compare, because the host's speed moved
 between them; the two sides of one PR were measured together.  So for
 each PR and workload the script prints the change/parent ratio of the
-wall_s medians, and the product of those ratios since the seed.
+wall_s medians, and the product of those ratios since the seed.  A last
+column, code_lines, gives the src/ code lines after the PR ("change" of
+the file's "code_lines", counted by tests/code_lines.py), or - in a file
+that records none.
 
     python3 tests/trajectory.py [DIRECTORY]
 
@@ -24,14 +27,18 @@ ROOT = Path(__file__).resolve().parent.parent
 METRIC = "wall_s"
 
 
-def read(directory: Path) -> tuple[dict[int, dict[str, float]], list[int]]:
+def read(directory: Path) -> tuple[dict[int, dict[str, float]], list[int], dict[int, int]]:
     """({pr: {workload: change/parent ratio of the METRIC medians}}, in
-    increasing pr, and the PRs whose file holds no pair set per
-    workload), from every BENCH_<pr>.json in directory."""
-    ratios, nested = {}, []
+    increasing pr, the PRs whose file holds no pair set per workload,
+    and {pr: code lines after it} of the files that record them), from
+    every BENCH_<pr>.json in directory."""
+    ratios, nested, lines = {}, [], {}
     for path in directory.glob("BENCH_*.json"):
         pr = int(path.stem.removeprefix("BENCH_"))
-        sets = json.loads(path.read_text())["end_to_end"]
+        bench = json.loads(path.read_text())
+        if "code_lines" in bench:
+            lines[pr] = bench["code_lines"]["change"]
+        sets = bench["end_to_end"]
         if not all("metrics" in pairs for pairs in sets.values()):
             nested.append(pr)
             continue
@@ -39,7 +46,7 @@ def read(directory: Path) -> tuple[dict[int, dict[str, float]], list[int]]:
             workload: pairs["metrics"][METRIC]["change"]["median"]
             / pairs["metrics"][METRIC]["parent"]["median"]
             for workload, pairs in sets.items()}
-    return dict(sorted(ratios.items())), sorted(nested)
+    return dict(sorted(ratios.items())), sorted(nested), lines
 
 
 def chained(ratios: dict[int, dict[str, float]]) -> dict[int, dict[str, float]]:
@@ -54,13 +61,14 @@ def chained(ratios: dict[int, dict[str, float]]) -> dict[int, dict[str, float]]:
 
 
 def main(directory: Path) -> None:
-    ratios, nested = read(directory)
+    ratios, nested, lines = read(directory)
     chain = chained(ratios)
     workloads = list(dict.fromkeys(w for row in ratios.values() for w in row))
     print(f"{METRIC}: change/parent median ratio, then chained since the seed")
-    print("  PR" + "".join(f"  {w:<15}" for w in workloads).rstrip())
+    print("  PR" + "".join(f"  {w:<15}" for w in [*workloads, "code_lines"]).rstrip())
     for pr, row in ratios.items():
-        cells = (f"{row[w]:.3f}  {chain[pr][w]:.3f}" if w in row else "-" for w in workloads)
+        cells = [f"{row[w]:.3f}  {chain[pr][w]:.3f}" if w in row else "-" for w in workloads]
+        cells.append(lines.get(pr, "-"))
         print(f"{pr:4d}" + "".join(f"  {cell:<15}" for cell in cells).rstrip())
     last = max([*ratios, *nested], default=0)
     missing = [pr for pr in range(1, last + 1) if pr not in ratios and pr not in nested]
