@@ -18,7 +18,6 @@ longer bring it to k(min).
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import chain
 
 from .core import EnumerationResult, InvalidParameters, Semigroup, _bits
 from .classify import is_irreducible
@@ -88,24 +87,16 @@ def _remove(S: Semigroup, A: tuple[int, ...]) -> Semigroup:
     return Semigroup._from_mask(mask)
 
 
-def _walk(irr: Iterator[Semigroup], kmin: int, kmax: int) -> Iterator[Semigroup]:
-    """S' \\ A for each S' taken from irr, in turn, and each removal set
-    A of S' with kmin <= |A| <= kmax, in the order of _removal_sets.  An
-    S' is taken from irr only when the walk reaches it, so a caller that
-    suspends the walk finds the irreducibles not yet started left in
-    irr."""
-    for Sp in irr:
-        for A in _removal_sets(Sp, kmin, kmax):
-            yield _remove(Sp, A)
-
-
 def _start(F: int, min_type: int, max_type: int | None,
            irr: Iterable[Semigroup] | None = None
-           ) -> tuple[Iterator[Semigroup], Iterator[Semigroup]]:
-    """(irreducibles, walk): the walk (_walk) of the irreducibles (irr,
-    else I(F)) for the types in [min_type, max_type], the bounds rounded
-    inward to the parity of F, and the iterator of the irreducibles that
-    it takes each S' from.  Both are empty, and I(F) not enumerated,
+           ) -> tuple[Iterable[Semigroup], Iterator[Semigroup]]:
+    """(irreducibles, walk): the irreducibles (irr, else the tuple of
+    I(F)), and the walk that yields S' \\ A for each of them in turn and
+    each removal set A of S' whose size gives a type in [min_type,
+    max_type], the bounds rounded inward to the parity of F, in the
+    order of _removal_sets.  The walk takes each S' from irr only when
+    it reaches it, so irr may be a stream that hands out irreducibles as
+    the walk asks for them.  Both are empty, and I(F) not enumerated,
     when no type is in range."""
     if F < 1 or min_type < 1:
         raise InvalidParameters("F and min_type must be >= 1")
@@ -116,24 +107,19 @@ def _start(F: int, min_type: int, max_type: int | None,
     if lo > hi:
         irr = ()
     elif irr is None:
-        irr = enumerate_irreducible(F)
-    irr = iter(irr)
-    return irr, _walk(irr, kmin, kmax)
+        irr = enumerate_irreducible(F).semigroups
+    return irr, (_remove(Sp, A) for Sp in irr for A in _removal_sets(Sp, kmin, kmax))
 
 
 def _ascend(F: int, min_type: int, max_type: int | None,
-            irr: Iterable[Semigroup] | None = None,
-            head: Iterable[Semigroup] = ()) -> EnumerationResult:
+            irr: Iterable[Semigroup] | None = None) -> EnumerationResult:
     """S' \\ A for every irreducible S' (irr, else I(F)) and every removal
     set A of S' whose size gives a type in [min_type, max_type] (see
-    _start), collected with the semigroups of head (a walk of this answer
-    already made); empty, without enumerating the irreducibles, when no
-    type is in range.  Each S' is walked once for removal sets of every
-    size from k(min_type) up to k(max_type).  irr and head are iterated
-    once, so irr may be an iterator that hands out irreducibles as the
-    walk asks for them."""
-    _, walk = _start(F, min_type, max_type, irr)
-    return EnumerationResult.collect(chain(head, walk), "ascending")
+    _start), collected; empty, without enumerating the irreducibles,
+    when no type is in range.  Each S' is walked once for removal sets
+    of every size from k(min_type) up to k(max_type), and taken from irr
+    only when the walk reaches it."""
+    return EnumerationResult.collect(_start(F, min_type, max_type, irr)[1], "ascending")
 
 
 def as_with_type(F: int, t: int, *,

@@ -26,12 +26,12 @@ Only a walk forks (pipeline), and this process formats and writes the
 records it sends.  as-descending writes the first batch of its streamed
 answer here, then forks one child that walks on and sends the rest of
 the selected nodes.  as-ascending walks until it has more than one
-batch, then hands the rest of its walk to two workers, which claim the
-irreducibles not yet started from one queue and each send their share,
-collected, as compute_stats nodes; this process merges the two streams
-into canonical order.  Every other answer (irreducible, oracle,
-as-descending --dot), an answer of one batch and --count-only stay in
-one process, and --threads is a no-op.
+batch only to size its answer: it then drops those records, and two
+interchangeable workers claim every irreducible, C(F) first, from one
+queue and each send their share, collected, as compute_stats nodes;
+this process merges the two streams into canonical order.  Every other
+answer (irreducible, oracle, as-descending --dot), an answer of one
+batch and --count-only stay in one process, and --threads is a no-op.
 
 Exit codes: 0 success, 2 invalid parameters or an output (stdout or
 --out) that fails, stdout closed at start included, 3 resource limit
@@ -61,8 +61,8 @@ import sys
 from collections import Counter
 from itertools import chain, islice, starmap
 
-from .core import (INPUT_F_MAX, InvalidParameters, LimitExceeded, Semigroup,
-                   _list_text, compute_stats, from_gaps, from_generators)
+from .core import (INPUT_F_MAX, EnumerationResult, InvalidParameters, LimitExceeded,
+                   Semigroup, _list_text, compute_stats, from_gaps, from_generators)
 
 
 def _node_record(gaps: int, msg: int, pf: int, m: int) -> str:
@@ -179,13 +179,14 @@ def _cmd_enumerate(args, out) -> None:
         irr, walk = _start(F, t, args.type)
         first = list(islice(walk, _WRITE_BATCH + 1))
         if len(first) > _WRITE_BATCH and not args.count_only:
-            # two workers walk the rest; the walk yields only the types asked
+            # the first walk only sized the answer: two workers walk it all,
+            # and the walk yields only the types asked
             from .pipeline import consume_claimed
-            consume_claimed(list(irr), chain(first, walk), lambda head, claimed: map(
-                compute_stats, _ascend(F, t, args.type, claimed, head)),
+            consume_claimed(irr, lambda claimed: map(
+                compute_stats, _ascend(F, t, args.type, claimed)),
                 _WRITE_BATCH, lambda received: _emit_result(received, (), args, out))
             return
-        result = _ascend(F, t, args.type, (), chain(first, walk))
+        result = EnumerationResult.collect(chain(first, walk), "ascending")
     elif mode == "as-descending":
         from .descending import as_down_to_type
         result = as_down_to_type(F, t, with_edges=True)

@@ -6,9 +6,9 @@ consuming run on more than one CPU.
 consume_forked forks one child per stream, such as one that continues
 a stream already started, and merges two or more streams, each in
 canonical order, on the canonical key of their gap masks (heapq.merge)
-before it consumes them.  consume_claimed forks _WORKERS workers that
-share a list of work items through one claim queue and each send their
-own stream.
+before it consumes them.  consume_claimed forks _WORKERS interchangeable
+workers that share a list of work items through one claim queue and
+each send their own stream.
 
 Each child sends its nodes through a pipe of its own in frames: 8 bytes
 of length, then marshal.dumps of a list of plain tuples (marshal.dumps
@@ -49,8 +49,10 @@ from itertools import islice
 
 from .core import LimitExceeded, _mask_key
 
-# The size asked for each child's pipe: a full pipe stops the child, and
-# the default 64 KiB stops it far too often.
+# The size asked for each child's pipe.  A child computes what it sends
+# (an as-ascending worker runs compute_stats on each node), so a full pipe
+# stalls its work: with the default 64 KiB, as-ascending at F = 55 was
+# slower in 7 of 8 pairs of one measured set and level in another.
 PIPE_SIZE = 1 << 20
 # The exceptions that an error frame carries by kind; any other one
 # arrives as RuntimeError.
@@ -91,22 +93,21 @@ def consume_forked(makers, frame: int, consume) -> None:
             os.waitpid(pid, 0)
 
 
-def consume_claimed(items: list, head, share, frame: int, consume) -> None:
+def consume_claimed(items: tuple, share, frame: int, consume) -> None:
     """Fork _WORKERS workers that claim the items from one queue, and
     call consume on the merge of their streams, in canonical order of
-    the gap masks (node[0]).  Worker i sends, `frame` nodes per frame,
-    the nodes of share(head, claimed) for worker 0 and share((), claimed)
-    for the others, with claimed an iterator of the items that the
-    worker claims as it takes them; each worker's nodes must be in
-    canonical order, and no node may come from two workers."""
+    the gap masks (node[0]).  Every worker sends, `frame` nodes per
+    frame, the nodes of share(claimed), with claimed an iterator of the
+    items that the worker claims as it takes them; each worker's nodes
+    must be in canonical order, and no node may come from two workers."""
     rfd, wfd = os.pipe()
     try:
         try:
             block = _fill(wfd, len(items))
         finally:
             os.close(wfd)
-        consume_forked([lambda i=i: share(() if i else head, _claims(rfd, items, block))
-                        for i in range(_WORKERS)], frame, consume)
+        consume_forked([lambda: share(_claims(rfd, items, block))] * _WORKERS,
+                       frame, consume)
     finally:
         os.close(rfd)
 
@@ -124,7 +125,7 @@ def _fill(fd: int, count: int) -> int:
     return block
 
 
-def _claims(fd: int, items: list, block: int):
+def _claims(fd: int, items: tuple, block: int):
     """In a worker: the items of each block it claims from the queue on
     fd, one token byte a claim, until the queue is empty."""
     while token := os.read(fd, 1):

@@ -151,17 +151,29 @@ def test_given_irreducibles_are_not_recomputed(monkeypatch):
     assert as_with_type(11, 7, _irreducibles=irr).gap_sets() == A_11_7
 
 
-def test_irreducibles_are_iterated_once_as_the_walk_reaches_them():
-    # a suspended walk leaves the irreducibles not yet started in its
-    # iterator, and the answer does not depend on how I(F) is split
+def test_walk_takes_each_irreducible_as_it_reaches_it_and_splits_by_irreducible():
+    # the walk takes S' from its iterator only when it reaches S' (its
+    # first record, from the empty removal set, is S' itself), and the
+    # answer is the disjoint union of the walks of any split of I(F)
     from almostsym.ascending import _ascend, _start
 
     for F in (20, 21, 30):
-        irr, walk = _start(F, 1, None)
-        first = [next(walk) for _ in range(40)]
-        rest = list(irr)
-        assert 0 < len(rest) < len(enumerate_irreducible(F))
-        split = _ascend(F, 1, None, iter(rest[1::2]), [*first, *walk])
-        other = _ascend(F, 1, None, iter(rest[0::2]))
-        assert sorted(split.semigroups + other.semigroups, key=lambda S: S.gaps) == \
+        irr = enumerate_irreducible(F).semigroups
+        taken = []
+
+        def counting():
+            for S in irr:
+                taken.append(S)
+                yield S
+
+        masks = {S.mask for S in irr}
+        _, walk = _start(F, 1, None, counting())
+        assert taken == []
+        started = 0
+        for S in walk:
+            started += S.mask in masks
+            assert len(taken) == started and S.mask & taken[-1].mask == taken[-1].mask
+        assert taken == list(irr)
+        halves = [_ascend(F, 1, None, iter(irr[i::2])).semigroups for i in (0, 1)]
+        assert sorted(halves[0] + halves[1], key=lambda S: S.gaps) == \
             list(as_all_ascending(F).semigroups)

@@ -565,7 +565,8 @@ def test_ascending_split_is_the_collected_answer(capsys, tmp_path, F):
     assert no_child_left()
 
 
-# at F = 48 (410 irreducibles left to claim) each claim is a block of two
+# the parent's first walk only sizes the answer; the two workers claim
+# every irreducible (a block of two at F = 48, whose I(F) has 411)
 @pytest.mark.parametrize("F", [40, 48])
 def test_ascending_workers_walk_each_irreducible_once(capsys, monkeypatch, tmp_path, F):
     # every walk of an irreducible's removal sets, in the parent or in a
@@ -585,13 +586,43 @@ def test_ascending_workers_walk_each_irreducible_once(capsys, monkeypatch, tmp_p
         assert run(capsys, "as-ascending", "--frobenius", str(F)) == (0, expected, "")
     finally:
         os.close(fd)
+    irr = [str(S.mask) for S in enumerate_irreducible(F)]
     walks = [line.split() for line in log.read_text().splitlines()]
-    assert sorted(mask for _, mask in walks) == \
-        sorted(str(S.mask) for S in enumerate_irreducible(F))
-    # the parent walks until it has more than one batch, the workers the rest
-    pids = [int(pid) for pid, _ in walks]
-    assert pids[0] == os.getpid() and set(pids) - {os.getpid()}
+    me = str(os.getpid())
+    parent = [mask for pid, mask in walks if pid == me]
+    assert 0 < len(parent) < len(irr) and parent == irr[:len(parent)]
+    assert sorted(mask for pid, mask in walks if pid != me) == sorted(irr)
+    workers = {pid for pid, _ in walks} - {me}
+    assert len(workers) == 2 if F == 48 else len(workers) <= 2  # 206 claims at 48
     assert no_child_left()
+
+
+def test_ascending_share_claims_each_irreducible_as_its_walk_reaches_it(capsys, monkeypatch):
+    # each worker's maker takes an irreducible from its claims only once
+    # it has walked the one before, so that the other worker can claim
+    # the rest; run here in one process, with one worker claiming all
+    import almostsym.ascending
+    import almostsym.pipeline
+
+    walked, taken = [], []
+
+    def counted(S, kmin, kmax, _walk=almostsym.ascending._removal_sets):
+        walked.append(S.mask)
+        return _walk(S, kmin, kmax)
+
+    def in_process(items, share, frame, consume):
+        def claims():
+            for S in items:
+                taken.append(len(walked))
+                yield S
+
+        walked.clear()
+        consume(share(claims()))
+
+    monkeypatch.setattr(almostsym.ascending, "_removal_sets", counted)
+    monkeypatch.setattr(almostsym.pipeline, "consume_claimed", in_process)
+    assert run(capsys, "as-ascending", "--frobenius", "40") == (0, ascending_records(40), "")
+    assert taken == list(range(len(enumerate_irreducible(40))))
 
 
 def failing_worker(statement):
