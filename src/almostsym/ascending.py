@@ -57,7 +57,7 @@ def _removal_sets(S: Semigroup, kmin: int, kmax: int) -> Iterator[tuple[int, ...
             ok = True
             for y in (*chosen, z):
                 s = z + y - F
-                if S.contains(s) and s not in chosen_set and s != z:
+                if S.contains(s) and s not in chosen_set:
                     ok = False
                     break
             if ok:

@@ -4,18 +4,20 @@ Subcommands: info, irreducible, as-ascending, as-descending, oracle, bench.
 Each enumeration mode answers "type >= t" with one library call, t taken
 from --type or --min-type (the two exclude each other), else 1
 (as-ascending also stops its scan at --type); the one type filter,
-_selected, then selects the answer: type == --type or type >=
---min-type.  A --type or --min-type below 1 is invalid (exit 2) in every
-mode; a type above F, or of the other parity from F, is a valid question
-with an empty answer (exit 0).  The answer is rendered one way: one JSON
-object per semigroup in canonical gap order, --count-only counts by
-type, or --dot, offered by the two tree modes (irreducible and
-as-descending) alone, the tree edges into the answer (the two flags
-exclude each other).  A flag is declared only on the subcommands where
-it works, so argparse rejects any other use (exit 2).  The answer
-reaches _emit_result as nodes, mask tuples in the field order of
-core.Stats (gap, msg, PF, multiplicity): the descent's nodes, or the
-Stats of each collected semigroup.  Every record line is rendered there,
+_selected, then selects the answer once (type == --type or type >=
+--min-type): as-descending's stream on its walk, and every other answer
+when it is collected.  The as-ascending split needs none, since its
+workers walk only the types asked.  A --type or --min-type below 1 is
+invalid (exit 2) in every mode; a type above F, or of the other parity
+from F, is a valid question with an empty answer (exit 0).  The answer
+is rendered one way: one JSON object per semigroup in canonical gap
+order, --count-only counts by type, or --dot, offered by the two tree
+modes (irreducible and as-descending) alone, the tree edges into the
+answer (the two flags exclude each other).  A flag is declared only on
+the subcommands where it works, so argparse rejects any other use (exit
+2).  The answer reaches _emit_result as nodes, mask tuples in the field
+order of core.Stats (gap, msg, PF, multiplicity): the descent's nodes,
+or the Stats of each collected semigroup.  Every record line is rendered there,
 in the process that writes it, by one formatter (_node_record).
 as-descending without --dot streams: descending.descend yields its nodes
 in canonical order, and their records are written as they come; every
@@ -96,7 +98,9 @@ def _int_list(text: str) -> list[int]:
 
 def _selected(nodes, args):
     """The nodes (gap, msg and PF masks, multiplicity) that the one type
-    filter keeps: type == --type, or type >= --min-type."""
+    filter keeps: type == --type, or type >= --min-type.  It runs at most
+    once per request: on the descent's stream, or on a collected answer
+    (see _cmd_enumerate)."""
     if args.type is not None:
         return (node for node in nodes if node[2].bit_count() == args.type)
     if args.min_type is not None:
@@ -105,11 +109,10 @@ def _selected(nodes, args):
 
 
 def _emit_result(nodes, edges, args, out) -> None:
-    """Select the answer from the nodes, in canonical order, render it as
-    records, as counts by type, or (--dot) as the tree edges into it, and
-    write it.  The nodes may be a stream: records are written as they
-    come."""
-    nodes = _selected(nodes, args)
+    """Render the answer, the nodes given in canonical order and already
+    selected, as records, as counts by type, or (--dot) as the tree edges
+    into it, and write it.  The nodes may be a stream: records are
+    written as they come."""
     if args.dot:
         # every node but the root has one edge into it: drawn iff the node
         # is in the answer
@@ -180,7 +183,8 @@ def _cmd_enumerate(args, out) -> None:
         first = list(islice(walk, _WRITE_BATCH + 1))
         if len(first) > _WRITE_BATCH and not args.count_only:
             # the first walk only sized the answer: two workers walk it all,
-            # and the walk yields only the types asked
+            # and the walk yields only the types asked, so the frames are
+            # written as received
             from .pipeline import consume_claimed
             consume_claimed(irr, lambda claimed: map(
                 compute_stats, _ascend(F, t, args.type, claimed)),
@@ -193,7 +197,7 @@ def _cmd_enumerate(args, out) -> None:
     else:
         from .oracle import oracle_as
         result = oracle_as(F)
-    _emit_result(map(compute_stats, result.semigroups), result.edges, args, out)
+    _emit_result(_selected(map(compute_stats, result.semigroups), args), result.edges, args, out)
 
 
 def _cmd_bench(args, report_file) -> str:

@@ -43,21 +43,21 @@ def irreducible_children(S: Semigroup) -> list[TreeEdge]:
 
 def enumerate_irreducible(F: int) -> EnumerationResult:
     """All irreducible numerical semigroups with Frobenius number F,
-    by depth-first traversal from C(F)."""
+    by depth-first traversal from C(F).  One dict, gap mask to
+    semigroup, records every node reached: a node reached twice is an
+    invariant failure (RuntimeError), and its values are the answer."""
     if F < 1:
         raise InvalidParameters("F must be >= 1")
     root = canonical_C(F)
-    found = [root]
+    found = {root.mask: root}
     edges = []
-    seen = {root.mask}
     stack = [root]
     while stack:
         children = irreducible_children(stack.pop())
         edges.extend(children)
         for edge in children:
-            if edge.child.mask in seen:
+            if edge.child.mask in found:
                 raise RuntimeError(f"irreducible tree revisited {edge.child}")
-            seen.add(edge.child.mask)
-            found.append(edge.child)
+            found[edge.child.mask] = edge.child
             stack.append(edge.child)
-    return EnumerationResult.collect(found, "irreducible", edges)
+    return EnumerationResult.collect(found.values(), "irreducible", edges)

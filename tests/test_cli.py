@@ -510,10 +510,13 @@ def test_closed_pipe_ends_quietly():
     assert err == b""
 
 
-def test_closed_pipe_after_the_first_batch_reaps_the_child(capfd, monkeypatch):
-    # the reader goes away after the first batch, while the child is still
-    # sending: the answer at F = 48 (1.8 MB of frames) overfills its pipe.
-    # The run ends quietly, with no child left, and the child writes nothing.
+@pytest.mark.parametrize("mode", ["as-descending", "as-ascending"])
+def test_closed_pipe_after_the_first_batch_reaps_the_child(capfd, monkeypatch, mode):
+    # the reader goes away after the first batch, while the forked
+    # processes are still sending: the descent's child fills its pipe with
+    # the answer at F = 48 (1.8 MB of frames), and each ascending worker
+    # walks its whole share before it sends.  The run ends quietly, with no
+    # child left, and no child writes anything.
     class ClosedAfterFirstBatch(io.StringIO):
         def fileno(self):
             return devnull
@@ -527,12 +530,39 @@ def test_closed_pipe_after_the_first_batch_reaps_the_child(capfd, monkeypatch):
     out = ClosedAfterFirstBatch()
     monkeypatch.setattr(sys, "stdout", out)
     try:
-        assert main(["as-descending", "--frobenius", "48"]) == 0
+        assert main([mode, "--frobenius", "48"]) == 0
     finally:
         os.close(devnull)
     assert out.getvalue().count("\n") == cli._WRITE_BATCH
     assert no_child_left()
     assert capfd.readouterr().err == ""
+
+
+# the type filter runs at most once per request, in this process: on the
+# descent's walk, or on a collected answer.  The ascending split's workers
+# walk only the types asked, so its frames are written as received.
+@pytest.mark.parametrize("argv, lines, most", [
+    (["as-descending", "--frobenius", "30", "--min-type", "3"], 785, 1),  # split
+    (["as-descending", "--frobenius", "11", "--type", "5"], 4, 1),
+    (["as-ascending", "--frobenius", "20", "--type", "4"], 23, 1),
+    (["oracle", "--frobenius", "14", "--type", "6"], 4, 1),
+    (["irreducible", "--frobenius", "20", "--dot", "--type", "2"], 12, 1),
+    (["as-ascending", "--frobenius", "30", "--min-type", "3"], 785, 0),  # split
+], ids=["descending-split", "descending", "ascending", "oracle", "irreducible-dot",
+        "ascending-split"])
+def test_each_answer_passes_the_type_filter_at_most_once(capsys, monkeypatch, argv,
+                                                          lines, most):
+    selected = cli._selected
+    calls = []
+
+    def counted(nodes, args):
+        calls.append(args)
+        return selected(nodes, args)
+
+    monkeypatch.setattr(cli, "_selected", counted)
+    code, out, err = run(capsys, *argv)
+    assert (code, err, out.count("\n")) == (0, "", lines)
+    assert len(calls) <= most
 
 
 def ascending_records(F, min_type=1, max_type=None):

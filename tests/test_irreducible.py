@@ -81,7 +81,7 @@ def test_matches_oracle():
 
 
 def test_tree_reaches_every_node_once():
-    # the seen-set check inside the traversal raises on any revisit
+    # the check on the dict of nodes reached raises on any revisit
     for F in range(1, 21):
         result = enumerate_irreducible(F)
         assert len(result.edges) == len(result) - 1
