@@ -13,13 +13,38 @@ answer through one walk per irreducible, which yields only the removal
 sets with k(min) <= |A| <= k(max): it stops growing a set at size
 k(max), and leaves a branch as soon as the candidates left can no
 longer bring it to k(min).
+
+The walk yields pairs (S', A).  The library maps each to the semigroup
+S' \\ A (_remove).  The command line maps each to the node of its record
+(_nodes), or counts its type (_types), without building S' \\ A: its
+gap mask is that of S' with A added, its multiplicity is m(S') unless
+m(S') is in A, and
+
+    PF(S' \\ A) = PF(S') | A | (F - A)
+
+(Nari, Semigroup Forum 2013).  With s a nonzero member of S' \\ A:
+x in A is pseudo-Frobenius, since x + s is in S' and, a sum of two
+nonzero members, no minimal generator, so not in A.  F - x is a gap of
+S' (x is in S', F is not), and F - x + s is a member of S' \\ A.  It is
+in S': above F when s > x; else a gap other than F/2 would put x - s
+in S', and x would be no minimal generator, and the gap F/2 would make
+2s = 2x - F a member of S' \\ A, against the pair test.  It is not some
+y in A, which would make s = x + y - F a member, against the pair test.
+F/2 in PF(S') (F even) stays one: F/2 + s = y in A would make 2s =
+2y - F a member.  The three sets are disjoint (above F/2, below F/2, and
+{F} or {F/2, F}), and their sizes add up to the type 2|A| + t(S'), so
+they are all of PF.
+Only msg is computed, by core's one minimal-generator sumset.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import starmap
+from operator import itemgetter
 
-from .core import EnumerationResult, InvalidParameters, Semigroup, _bits
+from .core import (EnumerationResult, InvalidParameters, Semigroup, _bits,
+                   _msg_mask, _multiplicity, _sort_distinct, compute_stats)
 from .classify import is_irreducible
 from .irreducible import _generator_window, enumerate_irreducible
 
@@ -79,8 +104,18 @@ def removal_candidates(S: Semigroup, t: int) -> list[tuple[int, ...]]:
     return list(_removal_sets(S, k, k))
 
 
+def _removed(S: Semigroup, A: tuple[int, ...]) -> int:
+    """The gap mask of S \\ A."""
+    mask = S.mask
+    for x in A:
+        mask |= 1 << x
+    return mask
+
+
 def _remove(S: Semigroup, A: tuple[int, ...]) -> Semigroup:
-    # removed elements are minimal generators, so the complement stays closed
+    # removed elements are minimal generators, so the complement stays
+    # closed.  The loop of _removed is repeated: one call more per
+    # semigroup measured 2% of as_all_ascending(40).
     mask = S.mask
     for x in A:
         mask |= 1 << x
@@ -89,15 +124,15 @@ def _remove(S: Semigroup, A: tuple[int, ...]) -> Semigroup:
 
 def _start(F: int, min_type: int, max_type: int | None,
            irr: Iterable[Semigroup] | None = None
-           ) -> tuple[Iterable[Semigroup], Iterator[Semigroup]]:
+           ) -> tuple[Iterable[Semigroup], Iterator[tuple[Semigroup, tuple[int, ...]]]]:
     """(irreducibles, walk): the irreducibles (irr, else the tuple of
-    I(F)), and the walk that yields S' \\ A for each of them in turn and
-    each removal set A of S' whose size gives a type in [min_type,
-    max_type], the bounds rounded inward to the parity of F, in the
-    order of _removal_sets.  The walk takes each S' from irr only when
-    it reaches it, so irr may be a stream that hands out irreducibles as
-    the walk asks for them.  Both are empty, and I(F) not enumerated,
-    when no type is in range."""
+    I(F)), and the walk that yields the pair (S', A) for each of them in
+    turn and each removal set A of S' whose size gives a type in
+    [min_type, max_type], the bounds rounded inward to the parity of F,
+    in the order of _removal_sets.  The walk takes each S' from irr only
+    when it reaches it, so irr may be a stream that hands out
+    irreducibles as the walk asks for them.  Both are empty, and I(F)
+    not enumerated, when no type is in range."""
     if F < 1 or min_type < 1:
         raise InvalidParameters("F and min_type must be >= 1")
     lo = min_type + (F - min_type) % 2
@@ -108,7 +143,7 @@ def _start(F: int, min_type: int, max_type: int | None,
         irr = ()
     elif irr is None:
         irr = enumerate_irreducible(F).semigroups
-    return irr, (_remove(Sp, A) for Sp in irr for A in _removal_sets(Sp, kmin, kmax))
+    return irr, ((Sp, A) for Sp in irr for A in _removal_sets(Sp, kmin, kmax))
 
 
 def _ascend(F: int, min_type: int, max_type: int | None,
@@ -119,7 +154,41 @@ def _ascend(F: int, min_type: int, max_type: int | None,
     when no type is in range.  Each S' is walked once for removal sets
     of every size from k(min_type) up to k(max_type), and taken from irr
     only when the walk reaches it."""
-    return EnumerationResult.collect(_start(F, min_type, max_type, irr)[1], "ascending")
+    return EnumerationResult.collect(starmap(_remove, _start(F, min_type, max_type, irr)[1]),
+                                     "ascending")
+
+
+def _nodes(pairs: Iterable[tuple[Semigroup, tuple[int, ...]]]
+           ) -> Iterator[tuple[int, int, int, int]]:
+    """The nodes (gap, msg and PF masks, multiplicity) of S' \\ A for the
+    pairs (S', A) of a walk, in canonical order, checked as collect
+    checks its semigroups (RuntimeError).  The walk, the gap masks and
+    the sort come first; the rest of each node is derived from its
+    removal (see the module docstring) as it is taken."""
+    found = [(_removed(Sp, A), Sp, A) for Sp, A in pairs]
+    _sort_distinct(found, itemgetter(0), "ascending")
+    for G, Sp, A in found:
+        F = G.bit_length() - 1
+        _, _, pf, m = compute_stats(Sp)
+        for x in A:
+            pf |= 1 << x | 1 << F - x
+        if G >> m & 1:  # m(S') was removed
+            m = _multiplicity(G)
+        yield G, _msg_mask(G, m), pf, m
+
+
+def _types(pairs: Iterable[tuple[Semigroup, tuple[int, ...]]]) -> Iterator[int]:
+    """The type 2|A| + t(S') of S' \\ A for each pair (S', A) of a walk;
+    RuntimeError once the walk has ended if two pairs gave one gap
+    mask."""
+    masks = set()
+    count = 0
+    for Sp, A in pairs:
+        masks.add(_removed(Sp, A))
+        count += 1
+        yield 2 * len(A) + compute_stats(Sp).pf_mask.bit_count()
+    if len(masks) != count:
+        raise RuntimeError("ascending enumeration produced a semigroup twice")
 
 
 def as_with_type(F: int, t: int, *,

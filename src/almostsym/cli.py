@@ -6,8 +6,8 @@ from --type or --min-type (the two exclude each other), else 1
 (as-ascending also stops its scan at --type); the one type filter,
 _selected, then selects the answer once (type == --type or type >=
 --min-type): as-descending's stream on its walk, and every other answer
-when it is collected.  The as-ascending split needs none, since its
-workers walk only the types asked.  A --type or --min-type below 1 is
+when it is collected.  as-ascending needs none, since its walk yields
+only the types asked.  A --type or --min-type below 1 is
 invalid (exit 2) in every mode; a type above F, or of the other parity
 from F, is a valid question with an empty answer (exit 0).  The answer
 is rendered one way: one JSON object per semigroup in canonical gap
@@ -17,8 +17,12 @@ answer (the two flags exclude each other).  A flag is declared only on
 the subcommands where it works, so argparse rejects any other use (exit
 2).  The answer reaches _emit_result as nodes, mask tuples in the field
 order of core.Stats (gap, msg, PF, multiplicity): the descent's nodes,
-or the Stats of each collected semigroup.  Every record line is rendered there,
-in the process that writes it, by one formatter (_node_record).
+ascending's nodes derived from its removal pairs (ascending._nodes), or
+the Stats of each collected semigroup.  Every record line is rendered
+there, in the process that writes it, by one formatter (_node_record),
+and every count line by one counter (_count_lines):
+as-ascending --count-only counts the types of its walk's pairs, with no
+node.
 as-descending without --dot streams: descending.descend yields its nodes
 in canonical order, and their records are written as they come; every
 other request collects its answer first.  Every line, of `info` and the
@@ -30,10 +34,11 @@ answer here, then forks one child that walks on and sends the rest of
 the selected nodes.  as-ascending walks until it has more than one
 batch only to size its answer: it then drops those records, and two
 interchangeable workers claim every irreducible, C(F) first, from one
-queue and each send their share, collected, as compute_stats nodes;
-this process merges the two streams into canonical order.  Every other
-answer (irreducible, oracle, as-descending --dot), an answer of one
-batch and --count-only stay in one process, and --threads is a no-op.
+queue and each send the nodes of their share, sorted and checked as
+collect checks an answer; this process merges the two streams into
+canonical order.  Every other answer (irreducible, oracle, as-descending
+--dot), an answer of one batch and --count-only stay in one process,
+and --threads is a no-op.
 
 Exit codes: 0 success, 2 invalid parameters or an output (stdout or
 --out) that fails, stdout closed at start included, 3 resource limit
@@ -63,8 +68,8 @@ import sys
 from collections import Counter
 from itertools import chain, islice, starmap
 
-from .core import (INPUT_F_MAX, EnumerationResult, InvalidParameters, LimitExceeded,
-                   Semigroup, _list_text, compute_stats, from_gaps, from_generators)
+from .core import (INPUT_F_MAX, InvalidParameters, LimitExceeded, Semigroup,
+                   _list_text, compute_stats, from_gaps, from_generators)
 
 
 def _node_record(gaps: int, msg: int, pf: int, m: int) -> str:
@@ -121,12 +126,18 @@ def _emit_result(nodes, edges, args, out) -> None:
             f'  "{_dot_label(e.parent)}" -> "{_dot_label(e.child)}" [label="{e.x}"];'
             for e in edges if e.child.mask in answer), ["}"])
     elif args.count_only:
-        counts = Counter(node[2].bit_count() for node in nodes)
-        lines = [*(f'{{"type": {t}, "count": {n}}}' for t, n in sorted(counts.items())),
-                 f'{{"total": {sum(counts.values())}}}']
+        lines = _count_lines(node[2].bit_count() for node in nodes)
     else:
         lines = starmap(_node_record, nodes)
     _write(lines, out)
+
+
+def _count_lines(types) -> list[str]:
+    """The --count-only lines of an answer whose semigroups have the
+    given types: one per type, ascending, then the total."""
+    counts = Counter(types)
+    return [*(f'{{"type": {t}, "count": {n}}}' for t, n in sorted(counts.items())),
+            f'{{"total": {sum(counts.values())}}}']
 
 
 def _dot_label(S: Semigroup) -> str:
@@ -174,23 +185,26 @@ def _cmd_enumerate(args, out) -> None:
         consume_forked([lambda: chain(first[_WRITE_BATCH:], nodes)], _WRITE_BATCH,
                        lambda received: _emit_result(received, (), args, out))
         return
+    if mode == "as-ascending":
+        # the walk yields only the types asked, so no answer here is
+        # filtered: it is counted, or its nodes are rendered as made
+        from .ascending import _nodes, _start, _types
+        irr, walk = _start(F, t, args.type)
+        if args.count_only:
+            _write(_count_lines(_types(walk)), out)
+            return
+        first = list(islice(walk, _WRITE_BATCH + 1))
+        if len(first) <= _WRITE_BATCH:
+            _emit_result(_nodes(first), (), args, out)
+            return
+        # the first walk only sized the answer: two workers walk it all
+        from .pipeline import consume_claimed
+        consume_claimed(irr, lambda claimed: _nodes(_start(F, t, args.type, claimed)[1]),
+                        _WRITE_BATCH, lambda received: _emit_result(received, (), args, out))
+        return
     if mode == "irreducible":
         from .irreducible import enumerate_irreducible
         result = enumerate_irreducible(F)
-    elif mode == "as-ascending":
-        from .ascending import _ascend, _start
-        irr, walk = _start(F, t, args.type)
-        first = list(islice(walk, _WRITE_BATCH + 1))
-        if len(first) > _WRITE_BATCH and not args.count_only:
-            # the first walk only sized the answer: two workers walk it all,
-            # and the walk yields only the types asked, so the frames are
-            # written as received
-            from .pipeline import consume_claimed
-            consume_claimed(irr, lambda claimed: map(
-                compute_stats, _ascend(F, t, args.type, claimed)),
-                _WRITE_BATCH, lambda received: _emit_result(received, (), args, out))
-            return
-        result = EnumerationResult.collect(chain(first, walk), "ascending")
     elif mode == "as-descending":
         from .descending import as_down_to_type
         result = as_down_to_type(F, t, with_edges=True)

@@ -5,15 +5,16 @@ integers containing 0 with finite complement.  The complement (the "gaps")
 is a finite set of positive integers and identifies S uniquely.  It is
 held as one integer, the gap mask, with bit x set iff x is a gap:
 equality and hashing compare masks, and the invariants are computed with
-word operations on it.  EnumerationResult.collect alone sorts results
-into canonical order (see _mask_key) and checks them; the record
+word operations on it.  _sort_distinct alone sorts results into
+canonical order (see _mask_key) and checks them, for
+EnumerationResult.collect and for ascending's record nodes; the record
 pipeline merges streams already in that order on the same key.
 
 This module owns every encoding of a mask (_bits, _list_text,
 _mask_key), each read a byte at a time through a table.
 
-Every command line start imports this module, so it imports only `math`
-and `collections`: Stats and TreeEdge are named tuples and
+Every command line start imports this module, so it imports only `math`,
+`operator` and `collections`: Stats and TreeEdge are named tuples and
 EnumerationResult a `__slots__` class with field-wise `==`, hash and
 `repr`, not dataclasses, whose import and decorators cost more than the
 rest of the module.
@@ -27,6 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from math import gcd
+from operator import attrgetter
 
 
 class ClosureViolation(ValueError):
@@ -309,14 +311,30 @@ class Stats(namedtuple("Stats", "gap_mask msg_mask pf_mask multiplicity")):
         return _bits(G & _reverse(G))
 
 
+def _multiplicity(G: int) -> int:
+    """The multiplicity of the semigroup with gap mask G: the lowest
+    clear bit above 0."""
+    return (~(G | 1) & ((G | 1) + 1)).bit_length() - 1
+
+
+def _msg_mask(G: int, m: int) -> int:
+    """The mask of the minimal generators of the semigroup with nonzero
+    gap mask G and multiplicity m.
+
+    With F the top bit of G, N is the mask of nonzero members up to
+    F + m.  Minimal generators are searched up to F + m: any s > F + m
+    splits as m + (s - m) with both summands nonzero members.  So msg is
+    N minus the sumset N + N.
+    """
+    bound = G.bit_length() - 1 + m
+    N = ((2 << bound) - 2) & ~G
+    return N & ~_sumset(N, bound)
+
+
 def compute_stats(S: Semigroup) -> Stats:
     """Compute all basic invariants of S, once per instance.
 
-    With G the gap mask, F its top bit and m the multiplicity (the lowest
-    clear bit above 0), N is the mask of nonzero members up to F + m.
-    Minimal generators are searched up to F + m: any s > F + m splits as
-    m + (s - m) with both summands nonzero members.  So msg is N minus
-    the sumset N + N.  The pseudo-Frobenius test is reduced to
+    msg is _msg_mask's.  The pseudo-Frobenius test is reduced to
     generators: x is in PF iff x is a gap and x + n is a member for every
     minimal generator n (every nonzero member is a sum of minimal
     generators), i.e. PF = G & ~OR(G >> n for n in msg).  Semigroups
@@ -329,11 +347,8 @@ def compute_stats(S: Semigroup) -> Stats:
     if not G:
         st = Stats(0, 0b10, 0, 1)
     else:
-        F = G.bit_length() - 1
-        m = (~(G | 1) & ((G | 1) + 1)).bit_length() - 1
-        bound = F + m
-        N = ((2 << bound) - 2) & ~G
-        msg = N & ~_sumset(N, bound)
+        m = _multiplicity(G)
+        msg = _msg_mask(G, m)
         covered = 0
         for n in _bits(msg):
             covered |= G >> n
@@ -347,6 +362,18 @@ class TreeEdge(namedtuple("TreeEdge", "parent child x")):
     integer x that was moved (replaced generator, or adjoined element)."""
 
     __slots__ = ()
+
+
+def _sort_distinct(items: list, mask, algorithm: str) -> None:
+    """Sort items in place into canonical order, on the _mask_key of the
+    gap mask mask(item).  The gap masks must be distinct and have one
+    Frobenius number: a duplicate, or a second Frobenius number, is an
+    invariant failure, RuntimeError naming `algorithm`."""
+    if len(set(map(mask, items))) != len(items):
+        raise RuntimeError(f"{algorithm} enumeration produced a semigroup twice")
+    if len(set(map(int.bit_length, map(mask, items)))) > 1:
+        raise RuntimeError(f"{algorithm} enumeration mixed Frobenius numbers")
+    items.sort(key=lambda item: _mask_key(mask(item)))
 
 
 class EnumerationResult:
@@ -384,15 +411,9 @@ class EnumerationResult:
     @classmethod
     def collect(cls, semigroups: Iterable[Semigroup], algorithm: str,
                 edges: Iterable[TreeEdge] = ()) -> "EnumerationResult":
-        """Sort distinct semigroups with one Frobenius number on the
-        _mask_key of their gap masks, and edges by parent then x, into
-        canonical order.  A duplicate, or a second Frobenius number, is
-        an invariant failure: RuntimeError naming `algorithm`."""
+        """The semigroups in canonical order (_sort_distinct, which
+        checks them), and the edges sorted by parent then x."""
         raw = list(semigroups)
-        if len({S.mask for S in raw}) != len(raw):
-            raise RuntimeError(f"{algorithm} enumeration produced a semigroup twice")
-        if len({S.frobenius for S in raw}) > 1:
-            raise RuntimeError(f"{algorithm} enumeration mixed Frobenius numbers")
-        raw.sort(key=lambda S: _mask_key(S.mask))
+        _sort_distinct(raw, attrgetter("mask"), algorithm)
         edges = sorted(edges, key=lambda e: (_mask_key(e.parent.mask), e.x))
         return cls(tuple(raw), tuple(edges))

@@ -50,9 +50,10 @@ from itertools import islice
 from .core import LimitExceeded, _mask_key
 
 # The size asked for each child's pipe.  A child computes what it sends
-# (an as-ascending worker runs compute_stats on each node), so a full pipe
-# stalls its work: with the default 64 KiB, as-ascending at F = 55 was
-# slower in 7 of 8 pairs of one measured set and level in another.
+# (an as-ascending worker derives each node from its removal set, msg by
+# a sumset), so a full pipe stalls its work: with the default 64 KiB,
+# as-ascending at F = 55 was slower in 7 of 8 pairs of one measured set
+# and level in another.
 PIPE_SIZE = 1 << 20
 # The exceptions that an error frame carries by kind; any other one
 # arrives as RuntimeError.

@@ -153,8 +153,8 @@ def test_given_irreducibles_are_not_recomputed(monkeypatch):
 
 def test_walk_takes_each_irreducible_as_it_reaches_it_and_splits_by_irreducible():
     # the walk takes S' from its iterator only when it reaches S' (its
-    # first record, from the empty removal set, is S' itself), and the
-    # answer is the disjoint union of the walks of any split of I(F)
+    # first pair is (S', ()), the empty removal set), and the answer is
+    # the disjoint union of the walks of any split of I(F)
     from almostsym.ascending import _ascend, _start
 
     for F in (20, 21, 30):
@@ -166,14 +166,56 @@ def test_walk_takes_each_irreducible_as_it_reaches_it_and_splits_by_irreducible(
                 taken.append(S)
                 yield S
 
-        masks = {S.mask for S in irr}
         _, walk = _start(F, 1, None, counting())
         assert taken == []
         started = 0
-        for S in walk:
-            started += S.mask in masks
-            assert len(taken) == started and S.mask & taken[-1].mask == taken[-1].mask
+        for Sp, A in walk:
+            started += not A
+            assert len(taken) == started and Sp is taken[-1]
         assert taken == list(irr)
         halves = [_ascend(F, 1, None, iter(irr[i::2])).semigroups for i in (0, 1)]
         assert sorted(halves[0] + halves[1], key=lambda S: S.gaps) == \
             list(as_all_ascending(F).semigroups)
+
+
+def node_pairs(F, min_type=1, max_type=None):
+    """The pairs (S', A) of the ascending walk for types in [min_type,
+    max_type]."""
+    from almostsym.ascending import _start
+
+    return list(_start(F, min_type, max_type)[1])
+
+
+def test_derived_nodes_equal_compute_stats():
+    # each node derived from its removal (gap mask G' | A, PF(S') | A |
+    # (F - A), m, msg) is the stats of its gap mask computed afresh, in
+    # the canonical order of as_all_ascending, and _types reads each type
+    from almostsym.ascending import _nodes, _types
+    from almostsym.core import Semigroup
+
+    windows = [(F, 1, None) for F in range(1, 41)]
+    for F in range(30, 45):  # --type F - 4, --min-type F - 6, and types up to 4
+        windows += [(F, F - 4, F - 4), (F, F - 6, None), (F, 1, 4)]
+    for F, lo, hi in windows:
+        pairs = node_pairs(F, lo, hi)
+        nodes = list(_nodes(pairs))
+        assert [G for G, *_ in nodes] == \
+            [S.mask for S in as_all_ascending(F, lo, hi)], (F, lo, hi)
+        for node in nodes:
+            assert node == tuple(compute_stats(Semigroup._from_mask(node[0]))), (F, node)
+        assert sorted(_types(pairs)) == sorted(node[2].bit_count() for node in nodes)
+
+
+def test_checks_on_the_node_path_fire():
+    # a walk that yields one pair twice, or pairs of two Frobenius
+    # numbers, is an internal failure (RuntimeError, not an assert)
+    from almostsym.ascending import _nodes, _types
+
+    pairs = node_pairs(20)
+    for walk in (pairs + pairs[3:4], pairs[:1] + pairs):
+        with pytest.raises(RuntimeError, match="ascending enumeration produced a semigroup twice"):
+            list(_nodes(iter(walk)))
+        with pytest.raises(RuntimeError, match="ascending enumeration produced a semigroup twice"):
+            list(_types(iter(walk)))
+    with pytest.raises(RuntimeError, match="ascending enumeration mixed Frobenius numbers"):
+        list(_nodes(pairs + node_pairs(21)))

@@ -357,12 +357,22 @@ def test_min_type_ascending_rejects_bad_frobenius(capsys):
 def test_duplicate_is_internal_error(capsys, monkeypatch):
     import almostsym.ascending
 
-    # every removal set now gives back the irreducible itself
+    # the walk yields every removal set twice: the records and the counts
+    # of the command line are built from its pairs
+    walk = almostsym.ascending._removal_sets
+    monkeypatch.setattr(almostsym.ascending, "_removal_sets", lambda S, kmin, kmax: (
+        A for A in walk(S, kmin, kmax) for _ in (0, 1)))
+    for flags in ((), ("--count-only",)):
+        code, out, err = run(capsys, "as-ascending", "--frobenius", "11", *flags)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error:") and "twice" in err
+    monkeypatch.setattr(almostsym.ascending, "_removal_sets", walk)
+    # every removal set gives back the irreducible itself: the library's
+    # semigroups are built by _remove
     monkeypatch.setattr(almostsym.ascending, "_remove", lambda S, A: S)
-    code, out, err = run(capsys, "as-ascending", "--frobenius", "11")
-    assert code == 4
-    assert out == ""
-    assert err.startswith("internal error:") and "twice" in err
+    with pytest.raises(RuntimeError, match="twice"):
+        as_all_ascending(11)
 
 
 def test_same_output_under_python_O():
@@ -375,6 +385,41 @@ def test_same_output_under_python_O():
         outputs.append(out)
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"\n") == 821  # AS semigroups with F = 30
+
+
+# the walk yields its first pair of C(F), the pair (C(F), ()), twice
+PAIR_TWICE = ("import almostsym.ascending\n"
+              "from almostsym.classify import canonical_C\n"
+              "walk = almostsym.ascending._removal_sets\n"
+              "def twice(S, kmin, kmax):\n"
+              "    sets = walk(S, kmin, kmax)\n"
+              "    if S == canonical_C(S.frobenius):\n"
+              "        first = next(sets)\n"
+              "        yield from (first, first)\n"
+              "    yield from sets\n"
+              "almostsym.ascending._removal_sets = twice")
+
+
+@pytest.mark.parametrize("python_flags", [(), ("-O",)], ids=["plain", "O"])
+@pytest.mark.parametrize("argv", [
+    ["as-ascending", "--frobenius", "11"],  # collected
+    ["as-ascending", "--frobenius", "40"],  # split between two workers
+    ["as-ascending", "--frobenius", "40", "--count-only"],
+], ids=["collected", "split", "count-only"])
+def test_pair_walked_twice_is_internal_error(python_flags, argv):
+    # the node and count paths check for duplicates with RuntimeError, so
+    # the run exits 4 under python -O too, and writes no record: stdout
+    # is at most a prefix of whole lines, and here empty
+    script = ("import sys\n"
+              f"{PAIR_TWICE}\n"
+              "import almostsym.cli\n"
+              "sys.exit(almostsym.cli.main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    proc = subprocess.run([sys.executable, *python_flags, "-c", script, *argv], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == b"internal error: ascending enumeration produced a semigroup twice\n"
+    assert proc.stdout == b""
 
 
 class CountingWriter(io.StringIO):
@@ -878,6 +923,9 @@ FAIL_FORK = ("import errno, os\n"
              "    forks.append(fork())\n"
              "    return forks[-1]\n"
              "os.fork = failing_fork")
+EVERY_SET_TWICE = ("walk = almostsym.ascending._removal_sets\n"
+                   "almostsym.ascending._removal_sets = lambda S, kmin, kmax: (\n"
+                   "    A for A in walk(S, kmin, kmax) for _ in (0, 1))")
 FAIL_AFTER_OUTPUT = ("emit = almostsym.cli._emit_result\n"
                      "def emit_then_fail(*args):\n"
                      "    emit(*args)\n"
@@ -892,9 +940,9 @@ FAIL_AFTER_OUTPUT = ("emit = almostsym.cli._emit_result\n"
     (2, ["oracle", "--frobenius", "11", "--threads", "-3"], "",
      b"error: --threads"),
     (3, ["info", "--gens", "100000,100001"], "", b"error: generators allow"),
-    # every removal set gives back the irreducible itself: a duplicate
-    (4, ["as-ascending", "--frobenius", "11"],
-     "almostsym.ascending._remove = lambda S, A: S", b"internal error:"),
+    # the walk yields every removal set twice: a duplicate
+    pytest.param(4, ["as-ascending", "--frobenius", "11"], EVERY_SET_TWICE,
+                 b"internal error:", id="removal-set-twice"),
     # an --out path that cannot be opened stops the run before any work
     (2, ["as-descending", "--frobenius", "5", "--out", "/nonexistent/d/x"], "",
      b"error: cannot write --out"),
