@@ -14,11 +14,25 @@ sets with k(min) <= |A| <= k(max): it stops growing a set at size
 k(max), and leaves a branch as soon as the candidates left can no
 longer bring it to k(min).
 
-The walk yields pairs (S', A).  The library maps each to the semigroup
-S' \\ A (_remove).  The command line maps each to the node of its record
-(_nodes), or counts its type (_types), without building S' \\ A: its
-gap mask is that of S' with A added, its multiplicity is m(S') unless
-m(S') is in A, and
+A removal set is a mask, bit x set iff x is in A, from the walk to the
+record.  With G the gap mask of S', the pair test for a candidate z
+joining A (every element of A below z) is one AND:
+
+    not ((A | 1 << z) << z >> F) & ~(G | A)
+
+Shifting A | {z} left by z and right by F leaves exactly the sums
+y + z - F >= 0 for y in A | {z}; each is positive, since y, z > F/2, and
+~(G | A) holds the members of S' \\ A, so the AND is empty exactly when
+none of those sums is a member of S' \\ A.
+
+The walk yields pairs (S', A), and the library and the command line
+share one path from them: _nodes maps each pair to the node of S' \\ A,
+its gap, msg and PF masks and multiplicity, without building S' \\ A.
+The library makes each node a semigroup that carries it as its stats,
+as a descending result does; the command line renders each node's
+record, or counts the pair's type (_types).  The gap mask of S' \\ A is
+that of S' with A added, its multiplicity is m(S') unless m(S') is in
+A, and
 
     PF(S' \\ A) = PF(S') | A | (F - A)
 
@@ -40,11 +54,10 @@ Only msg is computed, by core's one minimal-generator sumset.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import starmap
 from operator import itemgetter
 
-from .core import (EnumerationResult, InvalidParameters, Semigroup, _bits,
-                   _msg_mask, _multiplicity, _sort_distinct, compute_stats)
+from .core import (EnumerationResult, InvalidParameters, Semigroup, Stats, _bits,
+                   _msg_mask, _multiplicity, _reverse, _sort_distinct, compute_stats)
 from .classify import is_irreducible
 from .irreducible import _generator_window, enumerate_irreducible
 
@@ -54,45 +67,37 @@ def b_count(S: Semigroup) -> int:
     return _generator_window(S).bit_count()
 
 
-def _removal_sets(S: Semigroup, kmin: int, kmax: int) -> Iterator[tuple[int, ...]]:
-    """The valid removal sets A with kmin <= |A| <= kmax, in
-    lexicographic order (the empty set first).
+def _removal_sets(S: Semigroup, kmin: int, kmax: int) -> Iterator[int]:
+    """The masks of the valid removal sets A with kmin <= |A| <= kmax, in
+    lexicographic order of their elements (the empty set first).
 
-    A is grown in increasing order, so when a candidate z is appended the
-    pair sums z + y - F (y in A or y = z) are all smaller than z; if such
-    a sum lies in S it must already have been chosen, which makes the
-    incremental check exact: every prefix of a valid set is valid.  A
-    branch is entered only while the candidates left can still bring it
-    to kmin elements; at the root this skips an S with fewer than kmin
-    candidates (b_count(S) < kmin) without a step.
+    A is grown in increasing order, so when a candidate z joins the pair
+    sums z + y - F (y in A or y = z) are all smaller than z; if such a
+    sum lies in S it must already have been chosen, which makes the
+    incremental test (the one AND of the module docstring) exact: every
+    prefix of a valid set is valid.  The walk is depth first from a
+    stack that holds each set's extensions in decreasing order, so sets
+    come out in lexicographic order.  A set is extended only while the
+    candidates left can still bring it to kmin elements; at the root
+    this skips an S with fewer than kmin candidates (b_count(S) < kmin)
+    without a step.
     """
-    F = S.frobenius
+    F, G = S.frobenius, S.mask
     cands = _bits(_generator_window(S))
-    chosen: list[int] = []
-    chosen_set: set[int] = set()
-
-    def extend(start: int) -> Iterator[tuple[int, ...]]:
-        if len(chosen) >= kmin:
-            yield tuple(chosen)
-        if len(chosen) == kmax:
-            return
-        # after cands[i], kmin - len(chosen) - 1 more candidates must remain
-        for i in range(start, len(cands) - max(kmin - len(chosen) - 1, 0)):
+    stack = [(0, 0, 0)]  # (A, |A|, index of the first candidate left)
+    while stack:
+        A, k, start = stack.pop()
+        if k >= kmin:
+            yield A
+        if k == kmax:
+            continue
+        members = ~(G | A)  # the members of S' \ A
+        # after cands[i], kmin - k - 1 more candidates must remain
+        for i in range(len(cands) - 1 - max(kmin - k - 1, 0), start - 1, -1):
             z = cands[i]
-            ok = True
-            for y in (*chosen, z):
-                s = z + y - F
-                if S.contains(s) and s not in chosen_set:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(z)
-                chosen_set.add(z)
-                yield from extend(i + 1)
-                chosen.pop()
-                chosen_set.discard(z)
-
-    return extend(0)
+            B = A | 1 << z
+            if not (B << z >> F) & members:
+                stack.append((B, k + 1, i + 1))
 
 
 def removal_candidates(S: Semigroup, t: int) -> list[tuple[int, ...]]:
@@ -101,36 +106,18 @@ def removal_candidates(S: Semigroup, t: int) -> list[tuple[int, ...]]:
     if t < 1:
         raise InvalidParameters("t must be >= 1")
     k = (t + 1) // 2 - 1
-    return list(_removal_sets(S, k, k))
-
-
-def _removed(S: Semigroup, A: tuple[int, ...]) -> int:
-    """The gap mask of S \\ A."""
-    mask = S.mask
-    for x in A:
-        mask |= 1 << x
-    return mask
-
-
-def _remove(S: Semigroup, A: tuple[int, ...]) -> Semigroup:
-    # removed elements are minimal generators, so the complement stays
-    # closed.  The loop of _removed is repeated: one call more per
-    # semigroup measured 2% of as_all_ascending(40).
-    mask = S.mask
-    for x in A:
-        mask |= 1 << x
-    return Semigroup._from_mask(mask)
+    return list(map(_bits, _removal_sets(S, k, k)))
 
 
 def _start(F: int, min_type: int, max_type: int | None,
            irr: Iterable[Semigroup] | None = None
-           ) -> tuple[Iterable[Semigroup], Iterator[tuple[Semigroup, tuple[int, ...]]]]:
+           ) -> tuple[Iterable[Semigroup], Iterator[tuple[Semigroup, int]]]:
     """(irreducibles, walk): the irreducibles (irr, else the tuple of
     I(F)), and the walk that yields the pair (S', A) for each of them in
-    turn and each removal set A of S' whose size gives a type in
-    [min_type, max_type], the bounds rounded inward to the parity of F,
-    in the order of _removal_sets.  The walk takes each S' from irr only
-    when it reaches it, so irr may be a stream that hands out
+    turn and each removal set A of S' (a mask) whose size gives a type
+    in [min_type, max_type], the bounds rounded inward to the parity of
+    F, in the order of _removal_sets.  The walk takes each S' from irr
+    only when it reaches it, so irr may be a stream that hands out
     irreducibles as the walk asks for them.  Both are empty, and I(F)
     not enumerated, when no type is in range."""
     if F < 1 or min_type < 1:
@@ -150,43 +137,44 @@ def _ascend(F: int, min_type: int, max_type: int | None,
             irr: Iterable[Semigroup] | None = None) -> EnumerationResult:
     """S' \\ A for every irreducible S' (irr, else I(F)) and every removal
     set A of S' whose size gives a type in [min_type, max_type] (see
-    _start), collected; empty, without enumerating the irreducibles,
-    when no type is in range.  Each S' is walked once for removal sets
-    of every size from k(min_type) up to k(max_type), and taken from irr
+    _start), each carrying its stats from its node (_nodes, which sorts
+    and checks them); empty, without enumerating the irreducibles, when
+    no type is in range.  Each S' is walked once for removal sets of
+    every size from k(min_type) up to k(max_type), and taken from irr
     only when the walk reaches it."""
-    return EnumerationResult.collect(starmap(_remove, _start(F, min_type, max_type, irr)[1]),
-                                     "ascending")
+    return EnumerationResult(tuple(
+        Semigroup._from_mask(G, Stats(G, msg, pf, m))
+        for G, msg, pf, m in _nodes(_start(F, min_type, max_type, irr)[1])))
 
 
-def _nodes(pairs: Iterable[tuple[Semigroup, tuple[int, ...]]]
-           ) -> Iterator[tuple[int, int, int, int]]:
+def _nodes(pairs: Iterable[tuple[Semigroup, int]]) -> Iterator[tuple[int, int, int, int]]:
     """The nodes (gap, msg and PF masks, multiplicity) of S' \\ A for the
     pairs (S', A) of a walk, in canonical order, checked as collect
-    checks its semigroups (RuntimeError).  The walk, the gap masks and
-    the sort come first; the rest of each node is derived from its
-    removal (see the module docstring) as it is taken."""
-    found = [(_removed(Sp, A), Sp, A) for Sp, A in pairs]
+    checks its semigroups (RuntimeError).  Only the gap mask G' | A and
+    S' are kept until the sort; the rest of each node is derived from
+    its removal A = G ^ G' (see the module docstring) as it is taken."""
+    found = [(Sp.mask | A, Sp) for Sp, A in pairs]
     _sort_distinct(found, itemgetter(0), "ascending")
-    for G, Sp, A in found:
-        F = G.bit_length() - 1
+    for G, Sp in found:
         _, _, pf, m = compute_stats(Sp)
-        for x in A:
-            pf |= 1 << x | 1 << F - x
+        A = G ^ Sp.mask
+        if A:  # A, and F - A: A mirrored within F (_reverse needs a set bit)
+            pf |= A | _reverse(A) << G.bit_length() - A.bit_length()
         if G >> m & 1:  # m(S') was removed
             m = _multiplicity(G)
         yield G, _msg_mask(G, m), pf, m
 
 
-def _types(pairs: Iterable[tuple[Semigroup, tuple[int, ...]]]) -> Iterator[int]:
+def _types(pairs: Iterable[tuple[Semigroup, int]]) -> Iterator[int]:
     """The type 2|A| + t(S') of S' \\ A for each pair (S', A) of a walk;
     RuntimeError once the walk has ended if two pairs gave one gap
     mask."""
     masks = set()
     count = 0
     for Sp, A in pairs:
-        masks.add(_removed(Sp, A))
+        masks.add(Sp.mask | A)
         count += 1
-        yield 2 * len(A) + compute_stats(Sp).pf_mask.bit_count()
+        yield 2 * A.bit_count() + compute_stats(Sp).pf_mask.bit_count()
     if len(masks) != count:
         raise RuntimeError("ascending enumeration produced a semigroup twice")
 

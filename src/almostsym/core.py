@@ -7,7 +7,7 @@ held as one integer, the gap mask, with bit x set iff x is a gap:
 equality and hashing compare masks, and the invariants are computed with
 word operations on it.  _sort_distinct alone sorts results into
 canonical order (see _mask_key) and checks them, for
-EnumerationResult.collect and for ascending's record nodes; the record
+EnumerationResult.collect and for ascending's nodes; the record
 pipeline merges streams already in that order on the same key.
 
 This module owns every encoding of a mask (_bits, _list_text,
@@ -377,9 +377,10 @@ def _sort_distinct(items: list, mask, algorithm: str) -> None:
 
 
 class EnumerationResult:
-    """Enumeration output, built by collect: the semigroups of an answer
-    and the edges of its tree, if any, in canonical order.  Immutable by
-    convention; equal, hashed and printed field by field."""
+    """Enumeration output, built by collect (ascending builds it from its
+    nodes, sorted and checked by the same _sort_distinct): the semigroups
+    of an answer and the edges of its tree, if any, in canonical order.
+    Immutable by convention; equal, hashed and printed field by field."""
 
     __slots__ = ("semigroups", "edges")
 

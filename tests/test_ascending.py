@@ -1,3 +1,5 @@
+from itertools import combinations, combinations_with_replacement
+
 import pytest
 
 from almostsym import (InvalidParameters, as_exists, b_count, compute_stats,
@@ -99,8 +101,26 @@ def test_kmin_bound_is_lossless():
             for kmin in range(F + 1):
                 for kmax in range(kmin, F + 1):
                     assert list(_removal_sets(S, kmin, kmax)) == \
-                        [A for A in every if kmin <= len(A) <= kmax]
+                        [A for A in every if kmin <= A.bit_count() <= kmax]
 
+
+
+def test_removal_sets_are_the_definition():
+    # the walk's masks are exactly the subsets A of the generator window
+    # with x + y - F outside S' \ A for every pair x <= y in A, found here
+    # by trying every subset, in lexicographic order of their elements
+    for F in range(1, 37):
+        for S in enumerate_irreducible(F):
+            window = [x for x in compute_stats(S).msg if F / 2 < x < F]
+            valid = []
+            for k in range(len(window) + 1):
+                for A in combinations(window, k):
+                    if all(not S.contains(x + y - F) or x + y - F in A
+                           for x, y in combinations_with_replacement(A, 2)):
+                        valid.append(A)
+            walked = [tuple(x for x in range(F) if A >> x & 1)
+                      for A in _removal_sets(S, 0, b_count(S))]
+            assert walked == sorted(valid), (F, S)
 
 def test_base_types_give_back_irreducibles():
     for F in range(1, 16, 2):

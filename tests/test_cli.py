@@ -367,10 +367,7 @@ def test_duplicate_is_internal_error(capsys, monkeypatch):
         assert code == 4
         assert out == ""
         assert err.startswith("internal error:") and "twice" in err
-    monkeypatch.setattr(almostsym.ascending, "_removal_sets", walk)
-    # every removal set gives back the irreducible itself: the library's
-    # semigroups are built by _remove
-    monkeypatch.setattr(almostsym.ascending, "_remove", lambda S, A: S)
+    # the library's semigroups are built from the same pairs, by _nodes
     with pytest.raises(RuntimeError, match="twice"):
         as_all_ascending(11)
 

@@ -1,5 +1,6 @@
 """tests/trajectory.py over the committed BENCH_<pr>.json files."""
 
+import json
 import runpy
 from pathlib import Path
 
@@ -28,3 +29,28 @@ def test_trajectory_chains_the_committed_bench_files(capsys):
     rows = [line.split() for line in out[2:-2]]
     assert [row[0] for row in rows] == [str(pr) for pr in ratios]
     assert [row[-1] for row in rows] == [str(lines.get(pr, "-")) for pr in ratios]
+
+
+def test_cpu_column_reads_the_files_that_record_it(tmp_path, capsys):
+    # a cpu_s column between the workloads and code_lines: the change/parent
+    # ratio of the cpu_s medians where a file records one, - elsewhere
+    def side(median):
+        return {"median": median}
+
+    def bench(wall, cpu=None):
+        data = {"end_to_end": {"w": {"metrics": {"wall_s": {
+            "parent": side(1.0), "change": side(wall)}}}},
+            "code_lines": {"change": 900}}
+        if cpu is not None:
+            data["cpu_s"] = {"parent": side(0.8), "change": side(cpu)}
+        return json.dumps(data)
+
+    (tmp_path / "BENCH_1.json").write_text(bench(0.5))
+    (tmp_path / "BENCH_2.json").write_text(bench(0.8, cpu=0.6))
+    trajectory = runpy.run_path(str(SCRIPT), run_name="trajectory")
+    assert trajectory["cpu_ratios"](tmp_path) == {2: 0.6 / 0.8}
+    trajectory["main"](tmp_path)
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split() == ["PR", "w", "cpu_s", "code_lines"]
+    assert [line.split() for line in out[2:4]] == [
+        ["1", "0.500", "0.500", "-", "900"], ["2", "0.800", "0.400", "0.750", "900"]]

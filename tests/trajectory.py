@@ -6,10 +6,13 @@ workload, with each side's median of every end-to-end metric.  Medians
 taken in different PRs do not compare, because the host's speed moved
 between them; the two sides of one PR were measured together.  So for
 each PR and workload the script prints the change/parent ratio of the
-wall_s medians, and the product of those ratios since the seed.  A last
-column, code_lines, gives the src/ code lines after the PR ("change" of
-the file's "code_lines", counted by tests/code_lines.py), or - in a file
-that records none.
+wall_s medians, and the product of those ratios since the seed.  Two
+last columns follow.  cpu_s is the change/parent ratio of the medians of
+the file's "cpu_s": the user plus system time of every process of its
+claimed request, measured beside its wall in fresh-process pairs.
+code_lines gives the src/ code lines after the PR ("change" of the
+file's "code_lines", counted by tests/code_lines.py).  Either is - in a
+file that records none.
 
     python3 tests/trajectory.py [DIRECTORY]
 
@@ -49,6 +52,18 @@ def read(directory: Path) -> tuple[dict[int, dict[str, float]], list[int], dict[
     return dict(sorted(ratios.items())), sorted(nested), lines
 
 
+def cpu_ratios(directory: Path) -> dict[int, float]:
+    """{pr: change/parent ratio of the cpu_s medians} of every
+    BENCH_<pr>.json in directory that records a "cpu_s"."""
+    out = {}
+    for path in directory.glob("BENCH_*.json"):
+        cpu = json.loads(path.read_text()).get("cpu_s")
+        if cpu is not None:
+            out[int(path.stem.removeprefix("BENCH_"))] = \
+                cpu["change"]["median"] / cpu["parent"]["median"]
+    return out
+
+
 def chained(ratios: dict[int, dict[str, float]]) -> dict[int, dict[str, float]]:
     """{pr: {workload: the product of the workload's ratios up to pr}}."""
     product: dict[str, float] = {}
@@ -62,12 +77,14 @@ def chained(ratios: dict[int, dict[str, float]]) -> dict[int, dict[str, float]]:
 
 def main(directory: Path) -> None:
     ratios, nested, lines = read(directory)
+    cpu = cpu_ratios(directory)
     chain = chained(ratios)
     workloads = list(dict.fromkeys(w for row in ratios.values() for w in row))
     print(f"{METRIC}: change/parent median ratio, then chained since the seed")
-    print("  PR" + "".join(f"  {w:<15}" for w in [*workloads, "code_lines"]).rstrip())
+    print("  PR" + "".join(f"  {w:<15}" for w in [*workloads, "cpu_s", "code_lines"]).rstrip())
     for pr, row in ratios.items():
         cells = [f"{row[w]:.3f}  {chain[pr][w]:.3f}" if w in row else "-" for w in workloads]
+        cells.append(f"{cpu[pr]:.3f}" if pr in cpu else "-")
         cells.append(lines.get(pr, "-"))
         print(f"{pr:4d}" + "".join(f"  {cell:<15}" for cell in cells).rstrip())
     last = max([*ratios, *nested], default=0)
