@@ -18,15 +18,17 @@ the subcommands where it works, so argparse rejects any other use (exit
 2).  The answer reaches _emit_result as nodes, mask tuples in the field
 order of core.Stats (gap, msg, PF, multiplicity): the descent's nodes,
 ascending's nodes derived from its removal pairs (ascending._nodes), or
-the Stats of each collected semigroup.  Every record line is rendered
-there, in the process that writes it, by one formatter (_node_record),
-and every count line by one counter (_count_lines):
+the Stats of each collected semigroup.  Every record is rendered
+there, in the process that writes it, a write batch at a time, by the
+one record encoder (core._records), and every count line by one counter
+(_count_lines):
 as-ascending --count-only counts the types of its walk's pairs, with no
 node.
 as-descending without --dot streams: descending.descend yields its nodes
 in canonical order, and their records are written as they come; every
-other request collects its answer first.  Every line, of `info` and the
-`bench` table too, goes through one batched writer (_write).
+other request collects its answer first.  Every line, of `info` (a batch
+of one record) and the `bench` table too, goes through one batched
+writer (_write).
 
 Only a walk forks (pipeline), and this process formats and writes the
 records it sends.  as-descending writes the first batch of its streamed
@@ -66,21 +68,10 @@ import os
 import stat
 import sys
 from collections import Counter
-from itertools import chain, islice, starmap
+from itertools import chain, islice
 
 from .core import (INPUT_F_MAX, InvalidParameters, LimitExceeded, Semigroup,
-                   _list_text, compute_stats, from_gaps, from_generators)
-
-
-def _node_record(gaps: int, msg: int, pf: int, m: int) -> str:
-    """The JSON record of the semigroup with gap mask `gaps`, msg mask
-    `msg`, PF mask `pf` and multiplicity m, with fields in the fixed order
-    gaps, msg, pf, frobenius, genus, type, multiplicity, as `json.dumps`
-    would write it."""
-    return (f'{{"gaps": [{_list_text(gaps)}], "msg": [{_list_text(msg)}], '
-            f'"pf": [{_list_text(pf)}], "frobenius": {gaps.bit_length() - 1}, '
-            f'"genus": {gaps.bit_count()}, "type": {pf.bit_count()}, '
-            f'"multiplicity": {m}}}')
+                   _list_text, _records, compute_stats, from_gaps, from_generators)
 
 
 # Lines per write.  print() makes two system calls per line when stdout is
@@ -122,14 +113,13 @@ def _emit_result(nodes, edges, args, out) -> None:
         # every node but the root has one edge into it: drawn iff the node
         # is in the answer
         answer = {node[0] for node in nodes}
-        lines = chain(["digraph tree {"], (
+        _write(chain(["digraph tree {"], (
             f'  "{_dot_label(e.parent)}" -> "{_dot_label(e.child)}" [label="{e.x}"];'
-            for e in edges if e.child.mask in answer), ["}"])
+            for e in edges if e.child.mask in answer), ["}"]), out)
     elif args.count_only:
-        lines = _count_lines(node[2].bit_count() for node in nodes)
+        _write(_count_lines(node[2].bit_count() for node in nodes), out)
     else:
-        lines = starmap(_node_record, nodes)
-    _write(lines, out)
+        _write(nodes, out, _records)
 
 
 def _count_lines(types) -> list[str]:
@@ -145,14 +135,20 @@ def _dot_label(S: Semigroup) -> str:
     return "<" + _list_text(compute_stats(S).msg_mask).replace(", ", ",") + ">"
 
 
-def _write(lines, out) -> None:
-    """Write lines to out, _WRITE_BATCH lines per write.  out is None
-    when the command writes to stdout and fd 1 was closed at start."""
+def _lines(batch: list[str]) -> str:
+    return "\n".join(batch) + "\n"
+
+
+def _write(items, out, render=_lines) -> None:
+    """Write items to out, one write of render(batch) per _WRITE_BATCH
+    items: lines by default, or nodes rendered as records
+    (core._records).  out is None when the command writes to stdout and
+    fd 1 was closed at start."""
     if out is None:
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-    lines = iter(lines)
-    while batch := list(islice(lines, _WRITE_BATCH)):
-        out.write("\n".join(batch) + "\n")
+    items = iter(items)
+    while batch := list(islice(items, _WRITE_BATCH)):
+        out.write(render(batch))
 
 
 def _cmd_info(args, out) -> None:
@@ -160,7 +156,7 @@ def _cmd_info(args, out) -> None:
         S = from_generators(_int_list(args.gens))
     else:
         S = from_gaps(_int_list(args.gaps))
-    _write([_node_record(*compute_stats(S))], out)
+    _write([compute_stats(S)], out, _records)
 
 
 def _cmd_enumerate(args, out) -> None:

@@ -11,7 +11,9 @@ EnumerationResult.collect and for ascending's nodes; the record
 pipeline merges streams already in that order on the same key.
 
 This module owns every encoding of a mask (_bits, _list_text,
-_mask_key), each read a byte at a time through a table.
+_mask_key, and the record encoder _records, which renders a whole write
+batch of nodes as JSON lines in one pass over one text table), each
+read a byte at a time through a table.
 
 Every command line start imports this module, so it imports only `math`,
 `operator` and `collections`: Stats and TreeEdge are named tuples and
@@ -62,38 +64,41 @@ INPUT_F_MAX = 100_000
 # semigroup with F up to 127, whose minimal generators are at most
 # 2F + 1.  Wider masks are scanned instead: those of semigroups given as
 # input, and those of enumerations with F >= 128 (the msg mask of M(128),
-# the root of the descent at F = 128, has 33 bytes).
+# the root of the descent at F = 128, has 33 bytes).  _TEXT_ROWS is the
+# one text table: each position p comes with its leading separator,
+# ", p", so that the entries of a mask's bytes join into its list.
 _BIT_ROWS: list[list[tuple[int, ...]]] = []
 _TEXT_ROWS: list[list[str]] = []
 TABLE_BYTES = 32
+# The rows of a record's fixed parts (see _records), made at its first use.
+_RECORD_ROWS: list[list[str]] = []
 
 
-def _row(i: int, empty, add) -> list:
-    """Row i of a table: entry v is made from `empty` by add(cell, p) for
-    each position p of a set bit of byte v at byte i, ascending.  Entries
-    2^b..2^(b+1)-1 are entries 0..2^b-1 with p = 8i + b added."""
+def _row(i: int, empty, piece) -> list:
+    """Row i of a table: entry v is `empty` plus piece(p) for each
+    position p of a set bit of byte v at byte i, ascending.  Entries
+    2^b..2^(b+1)-1 are entries 0..2^b-1 plus piece(8i + b)."""
     cells = [empty]
     for b in range(8):
-        position = 8 * i + b
-        cells += [add(cell, position) for cell in cells]
+        new = piece(8 * i + b)
+        cells += [cell + new for cell in cells]
     return cells
 
 
-def _grown(rows: list, size: int, empty, add) -> bool:
+def _grown(rows: list, size: int, empty, piece) -> bool:
     """Grow the table `rows` in place to `size` rows made by _row; False,
     with `rows` as it was, when `size` is above TABLE_BYTES."""
     if size > TABLE_BYTES:
         return False
     for i in range(len(rows), size):
-        rows.append(_row(i, empty, add))
+        rows.append(_row(i, empty, piece))
     return True
 
 
 def _bits(mask: int) -> tuple[int, ...]:
     """The positions of the set bits of a nonnegative mask, ascending."""
     data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    if len(data) > len(_BIT_ROWS) and not _grown(
-            _BIT_ROWS, len(data), (), lambda cell, p: cell + (p,)):
+    if len(data) > len(_BIT_ROWS) and not _grown(_BIT_ROWS, len(data), (), lambda p: (p,)):
         return tuple(i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1")
     out: list[int] = []
     for row, v in zip(_BIT_ROWS, data):
@@ -101,14 +106,70 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _separated(p: int) -> str:
+    return f", {p}"
+
+
 def _list_text(mask: int) -> str:
     """The positions of the set bits of a nonnegative mask, ascending, as
     the body of a JSON list: "1, 2, 5"."""
     data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    if len(data) > len(_TEXT_ROWS) and not _grown(
-            _TEXT_ROWS, len(data), "", lambda cell, p: f"{cell}, {p}" if cell else str(p)):
+    if len(data) > len(_TEXT_ROWS) and not _grown(_TEXT_ROWS, len(data), "", _separated):
         return ", ".join(map(str, _bits(mask)))
-    return ", ".join(filter(None, map(list.__getitem__, _TEXT_ROWS, data)))
+    return "".join(map(list.__getitem__, _TEXT_ROWS, data))[2:]
+
+
+def _records(nodes: list) -> str:
+    """The JSON records of the nodes, a nonempty list of tuples (gap, msg
+    and PF masks, multiplicity) of semigroups, one line each, with fields
+    in the fixed order gaps, msg, pf, frobenius, genus, type,
+    multiplicity, as `json.dumps` would write them.  Every field is read
+    from its node.
+
+    With n the byte length of the widest gap mask of the batch (1 for
+    S = N), every node fits 4n + 6 bytes: a semigroup's minimal
+    generators are below 2F + 2 <= 16n, its PF is a set of gaps, and
+    F + 1, genus, type and multiplicity are at most 8n.  While 2n <= TABLE_BYTES
+    (F < 128), the batch is rendered in one table pass: each node is
+    packed into one int, low byte first
+        G (n bytes), m, msg without m (2n), p + 1 for the least p in PF
+        (0 for none), PF without p (n), F + 1, genus, type, m,
+    turned into bytes, and each byte is mapped through the row of its
+    position, the rows of _TEXT_ROWS for the masks and a row of
+    _RECORD_ROWS for each other byte, which also carries the text
+    between the fields.  Each list thus starts with an element of its
+    own row (every semigroup but N has the gap 1, in the first byte of
+    G), and each later element with its leading ", ".  Wider batches are
+    formatted field by field, with _list_text's scan."""
+    n = (max(nodes)[0].bit_length() + 7) // 8 or 1
+    if not _grown(_TEXT_ROWS, 2 * n, "", _separated):
+        return "".join([f'{{"gaps": [{_list_text(G)}], "msg": [{_list_text(msg)}], '
+                        f'"pf": [{_list_text(pf)}], "frobenius": {G.bit_length() - 1}, '
+                        f'"genus": {G.bit_count()}, "type": {pf.bit_count()}, '
+                        f'"multiplicity": {m}}}\n' for G, msg, pf, m in nodes])
+    if not _RECORD_ROWS:
+        numbers = list(map(str, range(256)))
+        _RECORD_ROWS.extend([
+            ['{"gaps": [' + cell[2:] for cell in _TEXT_ROWS[0]],
+            list(map('], "msg": ['.__add__, numbers)),
+            ['], "pf": [', *map('], "pf": ['.__add__, numbers)],
+            ['], "frobenius": -1', *map('], "frobenius": '.__add__, numbers)],
+            list(map(', "genus": '.__add__, numbers)),
+            list(map(', "type": '.__add__, numbers)),
+            [', "multiplicity": ' + v + '}\n' for v in numbers]])
+    gaps, msg_head, pf_head, *scalars = _RECORD_ROWS
+    text = _TEXT_ROWS
+    rows = [gaps, *text[1:n], msg_head, *text[:2 * n], pf_head, *text[:n], *scalars]
+    # bit offsets: of the m byte, after G; of the PF head, after msg; and
+    # of the four numbers, after PF, from the PF head; and bytes per node
+    at_m, at_pf, after_pf, size = 8 * n, 24 * n + 8, 8 * n + 8, 4 * n + 6
+    data = b"".join([
+        (G | (m | (msg ^ 1 << m) << 8) << at_m
+         | ((low := pf & -pf).bit_length() | (pf ^ low) << 8
+            | (G.bit_length() | G.bit_count() << 8 | pf.bit_count() << 16 | m << 24)
+            << after_pf) << at_pf).to_bytes(size, "little")
+        for G, msg, pf, m in nodes])
+    return "".join(map(list.__getitem__, rows * len(nodes), data))
 
 
 def _reverse(mask: int) -> int:
@@ -119,7 +180,7 @@ def _reverse(mask: int) -> int:
 
 # Entry v is byte v with its bits reversed and complemented: from 255,
 # each set bit b of v clears bit 7 - b.
-_KEY_BYTES = bytes(_row(0, 255, lambda cell, b: cell - (128 >> b)))
+_KEY_BYTES = bytes(_row(0, 255, lambda b: -(128 >> b)))
 
 
 def _mask_key(mask: int) -> bytes:

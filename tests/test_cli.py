@@ -1,5 +1,6 @@
 import argparse
 import errno
+import hashlib
 import inspect
 import io
 import itertools
@@ -20,7 +21,8 @@ import almostsym.bench
 from almostsym import cli, compute_stats, from_gaps, from_generators
 from almostsym.ascending import as_all_ascending
 from almostsym.cli import main
-from almostsym.descending import as_all_descending, as_down_to_type
+from almostsym.core import Semigroup, _records
+from almostsym.descending import as_all_descending, as_down_to_type, descend
 from almostsym.irreducible import enumerate_irreducible
 from almostsym.oracle import DEFAULT_F_MAX, all_with_frobenius, oracle_as
 
@@ -30,7 +32,8 @@ PACKAGE_ROOT = str(Path(almostsym.__file__).resolve().parent.parent)
 
 def reference_record(S):
     """The record of S built as a dict in field order and serialized by
-    json.dumps; the CLI's mask formatter must write the same line."""
+    json.dumps; the record encoder (core._records) must write the same
+    line."""
     st_ = compute_stats(S)
     return json.dumps({
         "gaps": list(S.gaps),
@@ -44,9 +47,9 @@ def reference_record(S):
 
 
 def assert_record_matches(S):
-    line = cli._node_record(*compute_stats(S))
-    assert line == reference_record(S)
-    assert json.dumps(json.loads(line)) == line
+    line = _records([compute_stats(S)])
+    assert line == reference_record(S) + "\n"
+    assert json.dumps(json.loads(line)) + "\n" == line
 
 
 def cli_process(*argv, python_flags=(), **kwargs):
@@ -455,9 +458,11 @@ def test_dot_written_in_batches(monkeypatch):
 def test_streamed_descent_writes_the_collected_answer(capsys):
     # as-descending streams the walk; the other modes collect, then render
     for F in range(1, 31):
+        records = {S: reference_record(S) + "\n" for S in as_down_to_type(F, 1)}
+
         def collected(t, keep):
-            return "".join(cli._node_record(*compute_stats(S)) + "\n"
-                           for S in as_down_to_type(F, t) if keep(compute_stats(S).type_))
+            return "".join(records[S] for S in as_down_to_type(F, t)
+                           if keep(compute_stats(S).type_))
 
         assert run(capsys, "as-descending", "--frobenius", str(F)) == \
             (0, collected(1, lambda u: True), "")
@@ -609,8 +614,8 @@ def test_each_answer_passes_the_type_filter_at_most_once(capsys, monkeypatch, ar
 
 def ascending_records(F, min_type=1, max_type=None):
     """The records of as_all_ascending(F, min_type, max_type), one line
-    each, as _node_record writes them."""
-    return "".join(cli._node_record(*compute_stats(S)) + "\n"
+    each, as reference_record writes them."""
+    return "".join(reference_record(S) + "\n"
                    for S in as_all_ascending(F, min_type, max_type))
 
 
@@ -868,13 +873,58 @@ def test_record_matches_reference_up_to_f18():
 def test_record_of_naturals():
     S = from_gaps([])
     assert_record_matches(S)
-    assert json.loads(cli._node_record(*compute_stats(S))) == {
+    assert json.loads(_records([compute_stats(S)])) == {
         "gaps": [], "msg": [1], "pf": [], "frobenius": -1, "genus": 0,
         "type": 0, "multiplicity": 1}
 
 
+def test_records_of_descent_nodes_in_batches():
+    # batches of one, of one write, and of one node either side of it
+    for F in range(1, 31):
+        nodes = list(descend(F, 1))
+        expected = [reference_record(Semigroup._from_mask(node[0])) + "\n" for node in nodes]
+        for size in (1, 255, 256, 257):
+            for start in range(0, len(nodes), size):
+                assert _records(nodes[start:start + size]) == \
+                    "".join(expected[start:start + size])
+
+
+def test_records_read_every_field_from_their_node():
+    # a batch that mixes Frobenius numbers, wider nodes after narrower
+    # ones, S = N, and masks too wide for the table renders each node's
+    # own line
+    narrow = [*descend(30, 20), compute_stats(Semigroup()), *descend(10, 1),
+              *descend(60, 54), *descend(5, 1)]
+    wide = [*narrow[:3], *descend(129, 127), *narrow[3:]]
+    for nodes in (narrow, wide):
+        lines = _records(nodes).splitlines(keepends=True)
+        assert lines == [reference_record(Semigroup._from_mask(node[0])) + "\n"
+                         for node in nodes]
+        assert [json.loads(line)["frobenius"] for line in lines] == \
+            [node[0].bit_length() - 1 for node in nodes]
+
+
+# answers too wide for the encoder's table (F >= 128); at F = 300 the
+# genus and the multiplicity need two bytes.  Each digest is the sha256
+# of the answer's stdout.
+@pytest.mark.parametrize("F, t, count, digest", [
+    (128, 120, 15, "31c5124f0a503293d431403d032e95875825a2022dafd1a2c5261f5ceb71ec78"),
+    (200, 192, 15, "55765f350c7f76bd261b70a994200c8db6fe79948981993056f143174bf6ed68"),
+    (300, 294, 8, "5c040b8ca26b0f4ef6b936df9b6d446b16e4316e570a11d8e0aa7cbac1663960"),
+])
+def test_wide_answers_in_a_fresh_process(F, t, count, digest):
+    proc = cli_process("as-descending", "--frobenius", str(F), "--min-type", str(t),
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+    expected = "".join(reference_record(S) + "\n" for S in as_down_to_type(F, t))
+    assert out.decode() == expected
+    assert out.count(b"\n") == count
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 # generators up to 60 give Frobenius numbers up to 59 * 58 - 1, so the
-# masks span many bytes of the formatter's table
+# masks span many bytes of the encoder's table
 @given(st.sets(st.integers(min_value=1, max_value=60), min_size=1, max_size=6))
 def test_record_matches_reference_on_generated(gens):
     if math.gcd(*gens) != 1:
