@@ -160,8 +160,9 @@ def _records(nodes: list) -> str:
     gaps, msg_head, pf_head, *scalars = _RECORD_ROWS
     text = _TEXT_ROWS
     rows = [gaps, *text[1:n], msg_head, *text[:2 * n], pf_head, *text[:n], *scalars]
-    # bit offsets: of the m byte, after G; of the PF head, after msg; and
-    # of the four numbers, after PF, from the PF head; and bytes per node
+    # shifts in bits: m's byte follows G's n bytes; the PF head follows
+    # msg's 2n bytes; the four numbers follow PF's n bytes, counted from
+    # the PF head.  size is the bytes of one node.
     at_m, at_pf, after_pf, size = 8 * n, 24 * n + 8, 8 * n + 8, 4 * n + 6
     data = b"".join([
         (G | (m | (msg ^ 1 << m) << 8) << at_m

@@ -891,10 +891,11 @@ def test_records_of_descent_nodes_in_batches():
 
 def test_records_read_every_field_from_their_node():
     # a batch that mixes Frobenius numbers, wider nodes after narrower
-    # ones, S = N, and masks too wide for the table renders each node's
-    # own line
+    # ones, S = N, the widest layout the table serves (F = 127, its msg
+    # masks 32 bytes) and masks too wide for the table renders each
+    # node's own line
     narrow = [*descend(30, 20), compute_stats(Semigroup()), *descend(10, 1),
-              *descend(60, 54), *descend(5, 1)]
+              *descend(60, 54), *descend(127, 121), *descend(5, 1)]
     wide = [*narrow[:3], *descend(129, 127), *narrow[3:]]
     for nodes in (narrow, wide):
         lines = _records(nodes).splitlines(keepends=True)
