@@ -11,8 +11,13 @@ for even F) gives type 2k + t(S'), so "type >= t" means |A| >= k(t) =
 ceil(t/2) - 1, with t rounded up to the parity of F.  Both entry points
 answer through one walk per irreducible, which yields only the removal
 sets with k(min) <= |A| <= k(max): it stops growing a set at size
-k(max), and leaves a branch as soon as the candidates left can no
-longer bring it to k(min).
+k(max), and leaves a branch as soon as the candidates left, or those of
+them that can still join it, can no longer bring it to k(min).  An
+irreducible with fewer than k(min) candidates has no such set, and
+neither has any of its descendants in the tree of irreducibles, since
+the candidates shrink on every edge: with k(min) > 0 the walk takes
+its irreducibles from the tree cut there (enumerate_irreducible(F,
+k(min))), which is all of I(F) that can answer.
 
 A removal set is a mask, bit x set iff x is in A, from the walk to the
 record.  With G the gap mask of S', the pair test for a candidate z
@@ -81,14 +86,30 @@ def _removal_sets(S: Semigroup, kmin: int, kmax: int) -> Iterator[int]:
     candidates left can still bring it to kmin elements; at the root
     this skips an S with fewer than kmin candidates (b_count(S) < kmin)
     without a step.
+
+    Below kmin a set is also left when too few of the candidates left
+    can still join it.  With L the mask of those candidates, z is in
+    some valid set grown from A only if
+
+        not ((A | 1 << z) << z >> F) & ~(G | A | L)
+
+    since every set grown from A lies inside A | L, and each pair sum
+    y + z - F (y in A or y = z) must be a gap of S' or in that set.  If
+    k plus the number of candidates that pass is below kmin, no set
+    grown from A reaches kmin.  The kmin = 0 walk makes no such test.
     """
     F, G = S.frobenius, S.mask
-    cands = _bits(_generator_window(S))
+    window = _generator_window(S)
+    cands = _bits(window)
     stack = [(0, 0, 0)]  # (A, |A|, index of the first candidate left)
     while stack:
         A, k, start = stack.pop()
         if k >= kmin:
             yield A
+        else:  # the candidates left are those above max(A)
+            free = ~(G | A | window >> A.bit_length() << A.bit_length())
+            if k + sum(not ((A | 1 << z) << z >> F) & free for z in cands[start:]) < kmin:
+                continue
         if k == kmax:
             continue
         members = ~(G | A)  # the members of S' \ A
@@ -112,14 +133,17 @@ def removal_candidates(S: Semigroup, t: int) -> list[tuple[int, ...]]:
 def _start(F: int, min_type: int, max_type: int | None,
            irr: Iterable[Semigroup] | None = None
            ) -> tuple[Iterable[Semigroup], Iterator[tuple[Semigroup, int]]]:
-    """(irreducibles, walk): the irreducibles (irr, else the tuple of
-    I(F)), and the walk that yields the pair (S', A) for each of them in
-    turn and each removal set A of S' (a mask) whose size gives a type
-    in [min_type, max_type], the bounds rounded inward to the parity of
-    F, in the order of _removal_sets.  The walk takes each S' from irr
-    only when it reaches it, so irr may be a stream that hands out
-    irreducibles as the walk asks for them.  Both are empty, and I(F)
-    not enumerated, when no type is in range."""
+    """(irreducibles, walk): the irreducibles, irr if given, else the
+    tuple of the tree walk cut at k(min_type), enumerate_irreducible(F,
+    k(min_type)): all of I(F) when k(min_type) = 0, and else only the
+    irreducibles with at least k(min_type) candidates, the ones that can
+    hold a removal set of that size.  The walk yields the pair (S', A)
+    for each of them in turn and each removal set A of S' (a mask) whose
+    size gives a type in [min_type, max_type], the bounds rounded inward
+    to the parity of F, in the order of _removal_sets.  The walk takes
+    each S' from irr only when it reaches it, so irr may be a stream
+    that hands out irreducibles as the walk asks for them.  Both are
+    empty, and the tree not walked, when no type is in range."""
     if F < 1 or min_type < 1:
         raise InvalidParameters("F and min_type must be >= 1")
     lo = min_type + (F - min_type) % 2
@@ -129,7 +153,7 @@ def _start(F: int, min_type: int, max_type: int | None,
     if lo > hi:
         irr = ()
     elif irr is None:
-        irr = enumerate_irreducible(F).semigroups
+        irr = enumerate_irreducible(F, kmin).semigroups
     return irr, ((Sp, A) for Sp in irr for A in _removal_sets(Sp, kmin, kmax))
 
 

@@ -7,7 +7,8 @@ from --type or --min-type (the two exclude each other), else 1
 _selected, then selects the answer once (type == --type or type >=
 --min-type): as-descending's stream on its walk, and every other answer
 when it is collected.  as-ascending needs none, since its walk yields
-only the types asked.  A --type or --min-type below 1 is
+only the types asked, and irreducible walks no tree when the filter
+drops the one type of its answer.  A --type or --min-type below 1 is
 invalid (exit 2) in every mode; a type above F, or of the other parity
 from F, is a valid question with an empty answer (exit 0).  The answer
 is rendered one way: one JSON object per semigroup in canonical gap
@@ -200,7 +201,10 @@ def _cmd_enumerate(args, out) -> None:
         return
     if mode == "irreducible":
         from .irreducible import enumerate_irreducible
-        result = enumerate_irreducible(F)
+        # every irreducible has type 2 - F % 2: when the filter drops it,
+        # a cut at b >= F, which no irreducible has, stops at the root
+        own = 2 - F % 2
+        result = enumerate_irreducible(F, 0 if args.type in (None, own) and t <= own else F)
     elif mode == "as-descending":
         from .descending import as_down_to_type
         result = as_down_to_type(F, t, with_edges=True)

@@ -41,23 +41,40 @@ def irreducible_children(S: Semigroup) -> list[TreeEdge]:
     return edges
 
 
-def enumerate_irreducible(F: int) -> EnumerationResult:
-    """All irreducible numerical semigroups with Frobenius number F,
-    by depth-first traversal from C(F).  One dict, gap mask to
-    semigroup, records every node reached: a node reached twice is an
-    invariant failure (RuntimeError), and its values are the answer."""
+def enumerate_irreducible(F: int, min_b: int = 0) -> EnumerationResult:
+    """The irreducible numerical semigroups with Frobenius number F that
+    have at least min_b minimal generators strictly between F/2 and F
+    (b, the bits of _generator_window): all of them for min_b = 0, by
+    depth-first traversal from C(F).  One dict, gap mask to semigroup,
+    records every node reached: a node reached twice is an invariant
+    failure (RuntimeError), and its values are the answer.
+
+    The walk cuts every child with b < min_b, neither keeping nor
+    expanding it, and loses nothing: b falls by at least one on every
+    edge S -> T of the tree, so no descendant of a cut node has
+    b >= min_b.  The child T = (S \\ {x}) | {F - x} of an edge adds
+    F - x < F/2 to S, below the window, and takes x out of it.  A
+    minimal generator y of T in the window is a member of S; were it no
+    minimal generator of S, a sum of two nonzero members of S one of
+    which is not in T, it would be y = x + a with 0 < a = y - x < F - x
+    < m(S), a nonzero member of S below m(S), which does not exist.  So
+    the window of T lies in that of S without x, b(T) <= b(S) - 1, and
+    the answer is I(F) filtered by b >= min_b, with the tree's edges
+    into it (the ancestors of a node that is kept are kept too)."""
     if F < 1:
         raise InvalidParameters("F must be >= 1")
     root = canonical_C(F)
-    found = {root.mask: root}
+    found = {root.mask: root} if _generator_window(root).bit_count() >= min_b else {}
     edges = []
-    stack = [root]
+    stack = list(found.values())
     while stack:
-        children = irreducible_children(stack.pop())
-        edges.extend(children)
-        for edge in children:
-            if edge.child.mask in found:
-                raise RuntimeError(f"irreducible tree revisited {edge.child}")
-            found[edge.child.mask] = edge.child
-            stack.append(edge.child)
+        for edge in irreducible_children(stack.pop()):
+            child = edge.child
+            if min_b and _generator_window(child).bit_count() < min_b:
+                continue
+            if child.mask in found:
+                raise RuntimeError(f"irreducible tree revisited {child}")
+            found[child.mask] = child
+            edges.append(edge)
+            stack.append(child)
     return EnumerationResult.collect(found.values(), "irreducible", edges)

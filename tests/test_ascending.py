@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+import time
 from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
+import almostsym
 from almostsym import (InvalidParameters, as_exists, b_count, compute_stats,
                        from_generators, is_almost_symmetric)
 from almostsym.ascending import (_removal_sets, as_all_ascending, as_with_type,
@@ -94,8 +100,9 @@ def test_matches_oracle():
 
 
 def test_kmin_bound_is_lossless():
-    # cutting branches that cannot reach kmin drops no set of size >= kmin
-    for F in range(1, 15):
+    # cutting branches that cannot reach kmin drops no set of size >= kmin:
+    # the kmin = 0 walk, which prunes nothing, is the reference
+    for F in range(1, 25):
         for S in enumerate_irreducible(F):
             every = list(_removal_sets(S, 0, F))
             for kmin in range(F + 1):
@@ -239,3 +246,22 @@ def test_checks_on_the_node_path_fire():
             list(_types(iter(walk)))
     with pytest.raises(RuntimeError, match="ascending enumeration mixed Frobenius numbers"):
         list(_nodes(pairs + node_pairs(21)))
+
+
+def test_typed_ascending_at_large_frobenius_walks_only_the_top_of_the_tree():
+    # F = 100, type >= 90: the tree of irreducibles is cut at b < 44 (I(100)
+    # has 419865 members) and the removal walks leave every branch that
+    # cannot reach 44; the answer equals the descent's, byte for byte
+    argv = ["--frobenius", "100", "--min-type", "90", "--count-only"]
+    env = dict(os.environ, PYTHONPATH=str(Path(almostsym.__file__).resolve().parent.parent))
+
+    def cli(mode):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "almostsym.cli", mode, *argv],
+                              env=env, capture_output=True, timeout=60, check=True)
+        return proc.stdout, time.perf_counter() - start
+
+    out, seconds = cli("as-ascending")
+    assert seconds < 5
+    assert out == cli("as-descending")[0]
+    assert out.endswith(b'{"total": 27}\n')

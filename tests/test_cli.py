@@ -260,21 +260,23 @@ def test_records_are_the_collected_answer(capsys, tmp_path, mode, F, answer):
 
 
 def test_min_type_ascending_enumerates_irreducibles_once(capsys, monkeypatch):
+    # one walk of the tree of irreducibles per request, cut at
+    # b < k(t) = ceil(t/2) - 1
     import almostsym.ascending
     import almostsym.irreducible
 
     calls = []
 
-    def counted(F, _enumerate=almostsym.irreducible.enumerate_irreducible):
-        calls.append(F)
-        return _enumerate(F)
+    def counted(F, min_b=0, _enumerate=almostsym.irreducible.enumerate_irreducible):
+        calls.append((F, min_b))
+        return _enumerate(F, min_b)
 
     monkeypatch.setattr(almostsym.irreducible, "enumerate_irreducible", counted)
     monkeypatch.setattr(almostsym.ascending, "enumerate_irreducible", counted)
     code, out, _ = run(capsys, "as-ascending", "--frobenius", "15",
                        "--min-type", "5")
     assert code == 0
-    assert calls == [15]
+    assert calls == [(15, 2)]
     _, expected, _ = run(capsys, "as-descending", "--frobenius", "15",
                          "--min-type", "5")
     assert out == expected
@@ -286,7 +288,7 @@ def test_min_type_ascending_enumerates_irreducibles_once(capsys, monkeypatch):
                 argv = ("--frobenius", str(F), flag, str(t))
                 calls.clear()
                 code, out, _ = run(capsys, "as-ascending", *argv)
-                assert code == 0 and calls == [F]
+                assert code == 0 and calls == [(F, (t + 1) // 2 - 1)]
                 assert run(capsys, "as-descending", *argv)[1] == out
                 if F <= 18:
                     assert run(capsys, "oracle", *argv)[1] == out
@@ -310,8 +312,9 @@ def test_min_type_ascending_walks_removal_sets_once(capsys, monkeypatch):
 
 
 def test_type_ascending_walks_only_its_size(capsys, monkeypatch):
-    # --type t walks removal sets up to size k(t) only, and a type that
-    # cannot occur is answered without enumerating the irreducibles
+    # --type t walks removal sets up to size k(t) only, of the irreducibles
+    # of one tree walk cut at b < k(t), and a type that cannot occur is
+    # answered without walking the tree
     import almostsym.ascending
 
     sizes, calls = [], []
@@ -320,14 +323,14 @@ def test_type_ascending_walks_only_its_size(capsys, monkeypatch):
         sizes.append(kmax)
         return _walk(S, kmin, kmax)
 
-    def counted_irr(F, _enumerate=almostsym.ascending.enumerate_irreducible):
-        calls.append(F)
-        return _enumerate(F)
+    def counted_irr(F, min_b=0, _enumerate=almostsym.ascending.enumerate_irreducible):
+        calls.append((F, min_b))
+        return _enumerate(F, min_b)
 
     monkeypatch.setattr(almostsym.ascending, "_removal_sets", counted_sets)
     monkeypatch.setattr(almostsym.ascending, "enumerate_irreducible", counted_irr)
     code, out, _ = run(capsys, "as-ascending", "--frobenius", "21", "--type", "3")
-    assert code == 0 and out and calls == [21] and set(sizes) == {1}
+    assert code == 0 and out and calls == [(21, 1)] and set(sizes) == {1}
     for t in ("4", "23"):
         calls.clear()
         assert run(capsys, "as-ascending", "--frobenius", "21", "--count-only",
@@ -348,6 +351,32 @@ def test_type_ascending_walks_only_its_size(capsys, monkeypatch):
 def test_type_out_of_range(capsys, mode, flags, code, expected):
     assert run(capsys, mode, "--frobenius", "11", "--count-only",
                *flags)[:2] == (code, expected)
+
+
+def test_irreducible_outside_its_type_walks_no_tree(capsys, monkeypatch):
+    # every irreducible has type 2 - F % 2: a --type or --min-type that
+    # drops it answers empty without expanding a node, after the checks
+    # on F (F < 1 exits 2, F above the limit 3)
+    import almostsym.irreducible
+
+    def refuse(S):
+        raise AssertionError("irreducible tree walked")
+
+    monkeypatch.setattr(almostsym.irreducible, "irreducible_children", refuse)
+    for F, flags in ((70, ["--min-type", "3"]), (71, ["--min-type", "2"]),
+                     (70, ["--type", "1"]), (71, ["--type", "2"]), (1, ["--min-type", "2"])):
+        argv = ["irreducible", "--frobenius", str(F), *flags]
+        assert run(capsys, *argv, "--count-only") == (0, '{"total": 0}\n', "")
+        assert run(capsys, *argv) == (0, "", "")
+        assert run(capsys, *argv, "--dot") == (0, "digraph tree {\n}\n", "")
+    assert run(capsys, "irreducible", "--frobenius", "0", "--min-type", "3")[0] == 2
+    assert run(capsys, "irreducible", "--frobenius", str(cli.INPUT_F_MAX + 1),
+               "--min-type", "3")[0] == 3
+    monkeypatch.undo()
+    for F, flags in ((20, ["--type", "2"]), (21, ["--min-type", "1"]), (21, [])):
+        n = len(enumerate_irreducible(F))
+        assert run(capsys, "irreducible", "--frobenius", str(F), "--count-only", *flags) \
+            == (0, f'{{"type": {2 - F % 2}, "count": {n}}}\n{{"total": {n}}}\n', "")
 
 
 def test_min_type_ascending_rejects_bad_frobenius(capsys):

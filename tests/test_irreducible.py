@@ -1,6 +1,6 @@
 import pytest
 
-from almostsym import (InvalidParameters, canonical_C, compute_stats,
+from almostsym import (InvalidParameters, b_count, canonical_C, compute_stats,
                        from_generators, is_irreducible)
 import almostsym.irreducible
 from almostsym.irreducible import enumerate_irreducible, irreducible_children
@@ -85,3 +85,25 @@ def test_tree_reaches_every_node_once():
     for F in range(1, 21):
         result = enumerate_irreducible(F)
         assert len(result.edges) == len(result) - 1
+
+
+def test_every_edge_lowers_b():
+    # b, the minimal generators strictly between F/2 and F, falls by at
+    # least one from parent to child: the cut of the walk rests on it
+    for F in range(1, 41):
+        for edge in enumerate_irreducible(F).edges:
+            assert b_count(edge.child) <= b_count(edge.parent) - 1, (F, edge)
+
+
+def test_cut_walk_is_the_filtered_tree():
+    # cut at b < k, the walk keeps I(F) filtered by b >= k, and the tree's
+    # edges into it; k above every b leaves nothing, C(F) included
+    for F in range(1, 41):
+        full = enumerate_irreducible(F)
+        top = b_count(canonical_C(F))
+        for k in range(top + 2):
+            cut = enumerate_irreducible(F, k)
+            kept = tuple(S for S in full if b_count(S) >= k)
+            assert cut.semigroups == kept, (F, k)
+            assert cut.edges == tuple(e for e in full.edges if b_count(e.child) >= k)
+            assert len(cut.edges) == max(len(kept) - 1, 0)
